@@ -4,6 +4,8 @@ Each supported function F on node pairs provides:
 
 * ``oracle(net, u, v)``  -- exact value from an explicit tree walk,
   used as ground truth throughout the test harness,
+* ``oracle_row(net, u)`` -- ``{v: oracle(net, u, v)}`` for every node v
+  of u's tree, from one outward walk,
 * ``compose(a, b)``      -- combine F(u,w) and F(w,v) into F(u,v) for
   any w on the u-v path,
 * ``reverse(a)``         -- F(v,u) from F(u,v),
@@ -60,6 +62,33 @@ def first_hop_port(net, u, v):
     return net.port_to[u][c]
 
 
+def _outward(net, u):
+    """(v, nca(u, v), via) for every node v of u's tree, from one walk
+    out of u that reads only ``parent`` and ``children``.  ``via`` is the
+    child of u toward a strict descendant v, the child of v toward u
+    when v is a strict ancestor, and None otherwise."""
+    children = net.children
+    row = [(u, u, None)]
+    for c in children[u]:
+        stack = [c]
+        while stack:
+            x = stack.pop()
+            row.append((x, u, c))
+            stack.extend(children[x])
+    prev, a = u, net.parent[u]
+    while a is not None:
+        row.append((a, a, prev))
+        for c in children[a]:
+            if c != prev:
+                stack = [c]
+                while stack:
+                    x = stack.pop()
+                    row.append((x, a, None))
+                    stack.extend(children[x])
+        prev, a = a, net.parent[a]
+    return row
+
+
 class TreeFunction:
     """Base for the supported functions; subclasses fill in the algebra."""
 
@@ -67,6 +96,9 @@ class TreeFunction:
     symmetric = True
 
     def oracle(self, net, u, v):
+        raise NotImplementedError
+
+    def oracle_row(self, net, u) -> dict:
         raise NotImplementedError
 
     def compose(self, a, b):
@@ -99,6 +131,9 @@ class Ancestry(TreeFunction):
         a = nca(net, u, v)
         return (a == u, a == v)
 
+    def oracle_row(self, net, u):
+        return {v: (a == u, a == v) for v, a, _ in _outward(net, u)}
+
     def compose(self, a, b):
         return (a[0] and b[0], a[1] and b[1])
 
@@ -127,6 +162,12 @@ class Distance(TreeFunction):
         a = nca(net, u, v)
         return net.depth[u] + net.depth[v] - 2 * net.depth[a]
 
+    def oracle_row(self, net, u):
+        depth = net.depth
+        du = depth[u]
+        return {v: du + depth[v] - 2 * depth[a]
+                for v, a, _ in _outward(net, u)}
+
     def compose(self, a, b):
         return a + b
 
@@ -151,6 +192,10 @@ class SeparationLevel(TreeFunction):
 
     def oracle(self, net, u, v):
         return net.depth[nca(net, u, v)]
+
+    def oracle_row(self, net, u):
+        depth = net.depth
+        return {v: depth[a] for v, a, _ in _outward(net, u)}
 
     def compose(self, a, b):
         return min(a, b)
@@ -181,6 +226,19 @@ class Routing(TreeFunction):
         if u == v:
             return ROUTE_SELF
         return ("port", first_hop_port(net, u, v), first_hop_port(net, v, u))
+
+    def oracle_row(self, net, u):
+        parent, port_to = net.parent, net.port_to
+        up = port_to[u].get(parent[u])      # u's port toward its parent
+        row = {}
+        for v, a, via in _outward(net, u):
+            if v == u:
+                row[v] = ROUTE_SELF
+                continue
+            fwd = port_to[u][via] if a == u else up
+            bwd = port_to[v][via] if a == v else port_to[v][parent[v]]
+            row[v] = ("port", fwd, bwd)
+        return row
 
     def compose(self, a, b):
         if a == ROUTE_SELF:

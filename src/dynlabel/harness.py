@@ -54,6 +54,8 @@ class RunConfig:
             raise ValueError("deletion probability must lie in [0, 1)")
         if self.invariants not in ("every-event", "final", "off"):
             raise ValueError(f"unknown invariant mode {self.invariants!r}")
+        if self.port_cap < 0:
+            raise ValueError("the port cap must be nonnegative")
         self._parse_verify()
 
     def _parse_verify(self):
@@ -202,9 +204,10 @@ def verify_step(runner, fn, mode, sample_size, rng, event_index, seed,
         ordered = not fn.symmetric
         for i, u in enumerate(nodes):
             start = 0 if ordered else i
+            row = fn.oracle_row(net, u)
             for v in nodes[start:]:
                 got = decode_labels(fn, pi, labels[u], labels[v])
-                want = fn.oracle(net, u, v)
+                want = row[v]
                 checked += 1
                 if got != want:
                     report.mismatches.append(Mismatch(

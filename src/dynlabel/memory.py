@@ -127,15 +127,27 @@ class DesignerBookkeeping:
             n += int_bits(self.engine.net.port_to[v][p])
         return n
 
-    def check(self, v) -> list[str]:
+    def check(self, orders, flag) -> list[str]:
+        """Watermarks against the ground scopes at every node of
+        ``orders`` (node -> children in port order); ``flag`` maps nodes
+        to their scope flag (``top_scope`` clamped to 0..levels), and a
+        child is inside its parent's level-l scope when its flag is
+        below l."""
+        engine = self.engine
+        levels = engine.levels
+        states, port_to = engine.states, engine.net.port_to
         out = []
-        for l in range(1, self.engine.levels):
-            want = {self.engine.net.port_to[v][c]
-                    for c in self.engine.ground_children_in_scope(v, l)}
-            got = self.scoped_ports(v, l)
-            if got != want:
-                out.append(f"designer watermark at node {v} level {l}: "
-                           f"{sorted(got)} != {sorted(want)}")
+        for v, order in orders.items():
+            watermark = states[v].watermark
+            if not order and not any(watermark[1:levels]):
+                continue
+            pt = port_to[v]
+            for l in range(1, levels):
+                got = set(range(1, watermark[l] + 1))
+                want = {pt[c] for c in order if flag[c] < l}
+                if got != want:
+                    out.append(f"designer watermark at node {v} level {l}: "
+                               f"{sorted(got)} != {sorted(want)}")
         return out
 
 
@@ -282,34 +294,46 @@ class AdversaryBookkeeping:
             n += int_bits(self.engine.net.port_to[v][p])
         return n
 
-    def check(self, v) -> list[str]:
+    def check(self, orders, flag) -> list[str]:
+        """Counts, tables and back-references against the ground scopes
+        at every node of ``orders`` (node -> children in port order);
+        ``flag`` maps nodes to their scope flag (``top_scope`` clamped
+        to 0..levels), and a child is inside its parent's level-l scope
+        when its flag is below l."""
+        engine = self.engine
+        levels = engine.levels
+        states, net = engine.states, engine.net
         out = []
-        net = self.engine.net
-        states = self.engine.states
-        order = sibling_order(net, v)
-        pt = net.port_to[v]
-        for l in range(1, self.engine.levels):
-            want = {pt[c] for c in self.engine.ground_children_in_scope(v, l)}
-            c = states[v].scoped_count[l]
-            if c != len(want):
-                out.append(f"adversary count at node {v} level {l}: "
-                           f"{c} != {len(want)}")
+        for v, order in orders.items():
+            scoped_count = states[v].scoped_count
+            if not order and not any(scoped_count[1:levels]):
                 continue
-            got = {states[order[i]].slot_table[l] for i in range(c)}
-            if got != want:
-                out.append(f"adversary tables at node {v} level {l}: "
-                           f"{sorted(map(str, got))} != {sorted(map(str, want))}")
-            if self.with_backrefs:
-                for u in order:
-                    ref = states[u].slot_backref[l]
-                    if (ref is None) != (pt[u] not in want):
+            ports, pt = net.ports[v], net.port_to[v]
+            rows = [(u, pt[u], states[u]) for u in order]
+            for l in range(1, levels):
+                want = {p for u, p, _ in rows if flag[u] < l}
+                c = scoped_count[l]
+                if c != len(want):
+                    out.append(f"adversary count at node {v} level {l}: "
+                               f"{c} != {len(want)}")
+                    continue
+                got = {st.slot_table[l] for _, _, st in rows[:c]}
+                if got != want:
+                    out.append(f"adversary tables at node {v} level {l}: "
+                               f"{sorted(map(str, got))} != "
+                               f"{sorted(map(str, want))}")
+                if not self.with_backrefs:
+                    continue
+                for u, p, st in rows:
+                    ref = st.slot_backref[l]
+                    if (ref is None) != (p not in want):
                         out.append(f"adversary backref presence at node {v} "
                                    f"level {l} child {u}")
                     elif ref is not None:
-                        w = net.ports[v].get(ref)
-                        if w is None or states[w].slot_table[l] != pt[u]:
-                            out.append(f"adversary backref target at node {v} "
-                                       f"level {l} child {u}")
+                        w = ports.get(ref)
+                        if w is None or states[w].slot_table[l] != p:
+                            out.append(f"adversary backref target at node "
+                                       f"{v} level {l} child {u}")
         return out
 
 
@@ -429,19 +453,31 @@ class BackupStore:
     def held_bits(self, holder) -> int:
         return sum(snapshot_bits(s) for s in self.copies.get(holder, {}).values())
 
-    def check(self) -> list[str]:
+    def check(self, orders=None) -> list[str]:
+        """``orders`` maps nodes to their children in port order; nodes
+        it leaves out are sorted here."""
         out = []
         net = self.engine.net
-        for v in net.alive_nodes():
-            for u in net.children[v]:
-                order = sibling_order(net, v)
-                nxt = next_sibling(net, v, u, order)
-                if (u not in self.copies.get(v, {})
-                        and u not in self.copies.get(nxt, {})):
+        children = net.children
+        copies = self.copies
+        none = {}
+        orders = orders or {}
+        for v in net.alive_list:
+            if not children[v]:
+                continue
+            order = orders.get(v) or sibling_order(net, v)
+            here = copies.get(v, none)
+            # each child's copy sits at v or at its next sibling in
+            # cyclic port order
+            for u, nxt in zip(order, order[1:] + order[:1]):
+                if u not in here and u not in copies.get(nxt, none):
                     out.append(f"no copy of child {u} at {v} or {nxt}")
-        for holder, held in self.copies.items():
-            if not net.is_alive(holder) and held:
-                out.append(f"dead node {holder} holds copies")
-            if len(held) > 2:
-                out.append(f"node {holder} holds {len(held)} copies")
+        alive = net.alive
+        if (not all(map(alive.get, copies))
+                or max(map(len, copies.values()), default=0) > 2):
+            for holder, held in copies.items():
+                if held and not alive.get(holder, False):
+                    out.append(f"dead node {holder} holds copies")
+                if len(held) > 2:
+                    out.append(f"node {holder} holds {len(held)} copies")
         return out

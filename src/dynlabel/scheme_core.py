@@ -24,6 +24,8 @@ answer for the two scope roots.
 
 from __future__ import annotations
 
+from operator import add
+
 from . import bits
 from .functions import get_function
 from .memory import (AdversaryBookkeeping, BackupStore, DesignerBookkeeping,
@@ -436,64 +438,84 @@ class SchemeCore:
 
     # -- invariant scanning -----------------------------------------------
 
-    def all_anchors(self) -> dict:
-        root = self.net.root
-        out = {root: tuple([None] + [root] * self.levels)}
+    def scan_invariants(self) -> list[str]:
+        """Check the structural invariants in one walk from the root.
+
+        The walk sorts each reachable node's children by port at most
+        once and reads every node's scope flag: its ``top_scope``
+        clamped to 0..levels, with the root anchoring every level.  The
+        port, ever-share, bookkeeping and backup checks all work from
+        those orders and flags.
+        """
+        net = self.net
+        root = net.root
+        levels = self.levels
+        states = self.states
+        children = net.children
+        orders = {}              # reachable node -> children in port order
+        flag = {root: levels}
+        closure = []
         stack = [root]
         while stack:
             v = stack.pop()
-            base = out[v]
-            for c in self.net.children[v]:
-                t = min(self.states[c].top_scope, self.levels)
-                if t:
-                    an = list(base)
-                    for l in range(1, t + 1):
-                        an[l] = c
-                    out[c] = tuple(an)
-                else:
-                    out[c] = base
-                stack.append(c)
-        return out
-
-    def scan_invariants(self) -> list[str]:
-        out = []
-        net = self.net
-        out.extend(net.check_tree_shape())
-        out.extend(net.check_port_uniqueness())
+            kids = children[v]
+            if kids:
+                if len(kids) > 1:         # an only child needs no sort
+                    kids = net.children_by_port(v)
+                tv = flag[v]
+                for c in kids:
+                    t = states[c].top_scope
+                    t = 0 if t < 0 else levels if t > levels else t
+                    flag[c] = t
+                    # a child may root its own scopes only at levels where
+                    # v roots one too
+                    if t > tv:
+                        closure.extend(f"descendant closure broken at "
+                                       f"{v}->{c} level {l}"
+                                       for l in range(tv + 1, t + 1))
+                stack.extend(kids)
+            orders[v] = kids
+        out = net.check_tree_shape(orders) + net.check_ports(orders)
         if self.finished:
             # terminal state: the final whole-tree reset has cleared the
             # per-level bookkeeping and nothing re-seeds the scopes
             return out
-        anchors = self.all_anchors()
-        if self.states[net.root].top_scope != self.levels:
+        if states[root].top_scope != levels:
             out.append("root is not a top-level scope root")
-        # ever-count invariant: per scope, shares sum to the joined-ever count
-        sums = {}
-        for v, an in anchors.items():
-            st = self.states[v]
-            for l in range(1, self.levels + 1):
-                key = (l, an[l])
-                sums[key] = sums.get(key, 0) + st.ever_share[l]
-        for (l, r), total in sums.items():
-            want = self.states[r].ever_count[l]
-            if total != want:
-                out.append(f"ever-share sum of level-{l} scope at {r}: "
-                           f"{total} != {want}")
-        # nesting and descendant closure
-        for v, an in anchors.items():
-            for l in range(1, self.levels):
-                if anchors[an[l]][l + 1] != an[l + 1]:
-                    out.append(f"scope nesting broken at node {v} level {l}")
-            for c in net.children[v]:
-                for l in range(1, self.levels + 1):
-                    if an[l] != v and anchors[c][l] != an[l]:
-                        out.append(f"descendant closure broken at {v}->{c} "
-                                   f"level {l}")
-        for v in anchors:
-            out.extend(self.bookkeeping.check(v))
+        out.extend(self._ever_share_faults(flag))
+        out.extend(closure)
+        out.extend(self.bookkeeping.check(orders, flag))
         if self.backups is not None:
-            out.extend(self.backups.check())
+            out.extend(self.backups.check(orders))
         out.extend(self.violations)
+        return out
+
+    def _ever_share_faults(self, flag) -> list[str]:
+        """Per scope, the members' ever-shares must sum to the root's
+        ever-count.  ``flag`` lists the reachable nodes with their scope
+        flags, parents before children; sums are accumulated bottom-up,
+        a node passing on the levels above its own flag."""
+        states = self.states
+        parent = self.net.parent
+        levels = self.levels
+        acc = {}
+        out = []
+        for v, t in reversed(flag.items()):
+            total = states[v].ever_share
+            if v in acc:
+                total = list(map(add, acc.pop(v), total))
+            if t:
+                want = states[v].ever_count
+                if total[1:t + 1] != want[1:t + 1]:
+                    out.extend(f"ever-share sum of level-{l} scope at {v}: "
+                               f"{total[l]} != {want[l]}"
+                               for l in range(1, t + 1)
+                               if total[l] != want[l])
+                if t == levels:
+                    continue
+                total = [0] * (t + 1) + total[t + 1:]
+            p = parent[v]
+            acc[p] = list(map(add, acc[p], total)) if p in acc else total
         return out
 
 

@@ -24,6 +24,7 @@ import csv
 import random
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain, repeat
 
 
 class SimulationError(RuntimeError):
@@ -199,8 +200,8 @@ class Network:
         if not self.is_alive(parent):
             raise InvalidEvent(f"add-leaf: parent {parent} not alive")
         child = self.next_id
-        self.next_id += 1
         self._assign_ports(parent, child)
+        self.next_id += 1
         self.parent[child] = parent
         self.children[parent].append(child)
         self.children[child] = []
@@ -264,6 +265,9 @@ class Network:
 
     def _adversary_port(self, node, fresh=False):
         used = () if fresh else self.ports[node]
+        if len(used) > self.port_cap:
+            raise InvalidEvent(f"add-leaf: node {node} has no free port "
+                               f"in 0..{self.port_cap}")
         while True:
             q = self.rng.randrange(self.port_cap + 1)
             if q not in used:
@@ -352,24 +356,59 @@ class Network:
         a = self.nca(u, v)
         return self.depth[u] + self.depth[v] - 2 * self.depth[a]
 
-    def check_port_uniqueness(self) -> list[str]:
+    def check_ports(self, orders=None) -> list[str]:
+        """Port-map faults: at every node of ``orders`` (node -> its
+        children in port order; all alive nodes when omitted) ``ports``
+        and ``port_to`` must be inverse maps, compact children must hold
+        ports 1..#children and adversary ports must lie in 0..port_cap."""
+        if orders is None:
+            orders = {v: self.children_by_port(v) for v in self.alive_list}
+        pvs = list(map(self.ports.__getitem__, orders))
+        pts = list(map(self.port_to.__getitem__, orders))
         bad = []
-        for v in self.alive_nodes():
-            ps = list(self.ports[v])
-            if len(ps) != len(set(ps)):
-                bad.append(f"node {v}: duplicate ports {ps}")
+        # inverse maps: equal sizes and ports[v][port_to[v][w]] == w for
+        # every entry, tested over all nodes at once
+        sizes = list(map(len, pts))
+        back = map(dict.get, chain.from_iterable(map(repeat, pvs, sizes)),
+                   chain.from_iterable(map(dict.values, pts)))
+        if (list(map(len, pvs)) != sizes
+                or list(back) != list(chain.from_iterable(pts))):
+            for v, pv, pt in zip(orders, pvs, pts):
+                if len(pv) != len(pt) or any(pv.get(q) != w
+                                             for w, q in pt.items()):
+                    bad.append(f"node {v}: ports {sorted(pv.items())} and "
+                               f"port_to {sorted(pt.items())} are not "
+                               f"inverse")
+        if self.assignment is PortAssignment.COMPACT:
+            for (v, kids), pt in zip(orders.items(), pts):
+                if not kids:
+                    continue
+                got = [pt[c] for c in kids]
+                if got != list(range(1, len(kids) + 1)):
+                    bad.append(f"node {v}: compact child ports {got} "
+                               f"are not 1..{len(kids)}")
+        elif self.assignment is PortAssignment.ADVERSARY:
+            cap = self.port_cap
+            used = list(chain.from_iterable(pvs))
+            if used and (min(used) < 0 or max(used) > cap):
+                for v, pv in zip(orders, pvs):
+                    if pv and (min(pv) < 0 or max(pv) > cap):
+                        bad.append(f"node {v}: adversary ports {sorted(pv)} "
+                                   f"exceed 0..{cap}")
         return bad
 
-    def check_tree_shape(self) -> list[str]:
-        """Alive nodes must form one tree rooted at the root."""
+    def check_tree_shape(self, seen=None) -> list[str]:
+        """Alive nodes must form one tree rooted at the root; ``seen``
+        holds the nodes reachable from the root, when already known."""
         bad = []
-        seen = set()
-        stack = [self.root]
-        while stack:
-            v = stack.pop()
-            seen.add(v)
-            stack.extend(self.children[v])
-        for v in self.alive_nodes():
+        if seen is None:
+            seen = set()
+            stack = [self.root]
+            while stack:
+                v = stack.pop()
+                seen.add(v)
+                stack.extend(self.children[v])
+        for v in self.alive_list:
             if v not in seen:
                 bad.append(f"node {v} unreachable from root")
         if len(seen) != self.alive_count:

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from dynlabel import PortAssignment, get_function
+from dynlabel import Network, PortAssignment, get_function
 from dynlabel.functions import ROUTE_SELF, nca
 
 from _util import build_net, random_parents, rooted_trees
@@ -181,3 +181,29 @@ def test_unknown_function_rejected():
     from dynlabel.functions import FunctionError
     with pytest.raises(FunctionError):
         get_function("flow")
+
+
+@pytest.mark.parametrize("name", ALL_FUNCTIONS)
+def test_oracle_row_matches_pairwise_oracle(name):
+    """One outward walk per row gives the pairwise oracle's values, on
+    random trees with deletions under every port assignment."""
+    fn = get_function(name)
+    for assignment in PortAssignment:
+        for seed in range(30):
+            rng = random.Random(seed)
+            net = Network(assignment=assignment, rng=random.Random(seed + 1))
+            for _ in range(40):
+                leaves = [v for v in net.alive_nodes()
+                          if v != 0 and net.is_leaf(v)]
+                if leaves and rng.random() < 0.3:
+                    net.remove_leaf(leaves[rng.randrange(len(leaves))])
+                else:
+                    pool = net.alive_list
+                    net.add_leaf(pool[rng.randrange(len(pool))])
+            nodes = net.alive_nodes()
+            for u in nodes:
+                row = fn.oracle_row(net, u)
+                assert sorted(row) == sorted(nodes)
+                for v in nodes:
+                    assert row[v] == fn.oracle(net, u, v), (assignment, seed,
+                                                            u, v)

@@ -166,3 +166,29 @@ def test_report_json_round_trips():
     data = json.loads(r.to_json())
     assert data["passed"] is True
     assert data["final_n"] == 31
+
+
+def test_config_rejects_negative_port_cap():
+    with pytest.raises(ValueError):
+        RunConfig(port_model="adversary", port_cap=-1)
+
+
+def test_run_with_port_cap_zero_reports_the_rejected_add():
+    """Under a cap of 0 a node has one port number, so the second port
+    at a node cannot exist: the add is rejected instead of drawing ports
+    forever.  The alarm turns a hang into a failure."""
+    import signal
+
+    def stop(signum, frame):
+        raise TimeoutError("adversary port draw did not stop")
+
+    old = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(30)
+    try:
+        r = run(RunConfig(seed=1, events=20, port_model="adversary",
+                          port_cap=0, verify="off"))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    assert r.events_applied == 1
+    assert len(r.errors) == 1 and "no free port" in r.errors[0]

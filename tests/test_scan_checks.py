@@ -1,0 +1,249 @@
+"""Every message of ``scan_invariants`` fires on a state broken for it,
+the scan sorts each node's children at most once, and its messages on a
+fixed corpus of corrupted states stay as recorded."""
+
+import json
+import random
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+from dynlabel import (DynamicScheme, IncreasingScheme, Network,
+                      PortAssignment, QuotaFunction)
+from dynlabel import memory
+
+from _corpus import corpus
+
+CORPUS_FILE = Path(__file__).parent / "data" / "scan_corpus.jsonl"
+
+
+def _grown(port_model, seed=3, events=150, model=DynamicScheme):
+    """A distance scheme after a random stream: adds and removals for the
+    leaf-dynamic model, adds only for the leaf-increasing one."""
+    assignment = (PortAssignment.COMPACT if port_model == "designer"
+                  else PortAssignment.ADVERSARY)
+    net = Network(assignment=assignment, rng=random.Random(seed + 100))
+    s = model(net, "distance", QuotaFunction.parse("pow:0.5"),
+              port_model=port_model)
+    p_delete = 0.3 if model is DynamicScheme else 0.0
+    rng = random.Random(seed)
+    for _ in range(events):
+        leaves = [v for v in net.alive_nodes() if v != 0 and net.is_leaf(v)]
+        if leaves and rng.random() < p_delete:
+            s.remove_leaf(leaves[rng.randrange(len(leaves))])
+        else:
+            s.add_leaf(net.alive_list[rng.randrange(len(net.alive_list))])
+    assert s.scan_invariants() == []
+    assert s.levels >= 3
+    return net, s.core
+
+
+def _flag(core, v):
+    return max(0, min(core.states[v].top_scope, core.levels))
+
+
+def _scoped_child(net, core):
+    """(v, l, u): v's children share one flag below l, so u, the first
+    of them in port order, is inside v's level-l scope."""
+    for v in sorted(net.alive_nodes()):
+        kids = net.children_by_port(v)
+        flags = {_flag(core, c) for c in kids}
+        if len(flags) == 1 and min(flags) < core.levels - 1:
+            return v, min(flags) + 1, kids[0]
+    raise AssertionError("no scoped child")
+
+
+def _fires(core, text):
+    msgs = core.scan_invariants()
+    assert any(text in m for m in msgs), msgs
+    return msgs
+
+
+def test_ever_share_sum_fires():
+    net, core = _grown("designer")
+    leaf = next(v for v in net.alive_nodes() if net.is_leaf(v))
+    core.states[leaf].ever_share[1] += 1
+    _fires(core, "ever-share sum of level-1 scope at")
+
+
+def test_descendant_closure_fires():
+    net, core = _grown("designer")
+    v, c = next((v, c) for v in sorted(net.alive_nodes()) if v != net.root
+                and _flag(core, v) < core.levels
+                for c in net.children[v])
+    t = _flag(core, v) + 1
+    core.states[c].top_scope = t
+    _fires(core, f"descendant closure broken at {v}->{c} level {t}")
+
+
+def test_root_flag_fires():
+    net, core = _grown("designer")
+    core.states[net.root].top_scope -= 1
+    _fires(core, "root is not a top-level scope root")
+
+
+def test_designer_watermark_fires():
+    net, core = _grown("designer")
+    v = next(v for v in net.alive_nodes() if net.children[v])
+    core.states[v].watermark[1] += 1
+    _fires(core, f"designer watermark at node {v} level 1")
+
+
+def test_adversary_count_fires():
+    net, core = _grown("adversary")
+    v = next(v for v in net.alive_nodes() if net.children[v])
+    core.states[v].scoped_count[1] += 1
+    _fires(core, f"adversary count at node {v} level 1")
+
+
+@pytest.mark.parametrize("model", [IncreasingScheme, DynamicScheme])
+def test_adversary_tables_fire(model):
+    net, core = _grown("adversary", model=model)
+    v, l, u = _scoped_child(net, core)
+    core.states[u].slot_table[l] = -5
+    _fires(core, f"adversary tables at node {v} level {l}")
+
+
+def test_adversary_backref_presence_fires():
+    net, core = _grown("adversary")
+    v, l, u = _scoped_child(net, core)
+    core.states[u].slot_backref[l] = None
+    _fires(core, f"adversary backref presence at node {v} level {l} child {u}")
+
+
+def test_adversary_backref_target_fires():
+    net, core = _grown("adversary")
+    v, l, u = _scoped_child(net, core)
+    core.states[u].slot_backref[l] = -7       # no such port at v
+    _fires(core, f"adversary backref target at node {v} level {l} child {u}")
+
+
+def test_missing_backup_copy_fires():
+    net, core = _grown("designer")
+    v = next(v for v in net.alive_nodes() if net.children[v])
+    u = net.children[v][0]
+    for held in core.backups.copies.values():
+        held.pop(u, None)
+    _fires(core, f"no copy of child {u} at {v} or")
+
+
+def test_more_than_two_copies_fires():
+    net, core = _grown("designer")
+    holder = net.root
+    held = core.backups.copies.setdefault(holder, {})
+    for s in net.alive_nodes()[:3]:
+        held.setdefault(s, {})
+    _fires(core, f"node {holder} holds {len(held)} copies")
+
+
+def test_dead_holder_fires():
+    net, core = _grown("designer")
+    dead = next(v for v in range(net.next_id) if not net.is_alive(v))
+    core.backups.copies[dead] = {net.root: {}}
+    _fires(core, f"dead node {dead} holds copies")
+
+
+def test_swapped_port_to_entry_fires():
+    net, core = _grown("adversary")
+    v = next(v for v in net.alive_nodes() if len(net.port_to[v]) >= 2)
+    a, b = list(net.port_to[v])[:2]
+    pt = net.port_to[v]
+    pt[a], pt[b] = pt[b], pt[a]
+    _fires(core, f"node {v}: ports ")
+    assert net.check_ports() != []
+
+
+def test_compact_port_gap_fires():
+    net, core = _grown("designer")
+    v, l, _ = _scoped_child(net, core)
+    c = net.children_by_port(v)[-1]
+    q = net.port_to[v][c]
+    gap = max(net.ports[v]) + 5
+    del net.ports[v][q]
+    net.ports[v][gap] = c
+    net.port_to[v][c] = gap
+    _fires(core, f"node {v}: compact child ports")
+    # the watermark prefix 1..m no longer names the moved child's port
+    _fires(core, f"designer watermark at node {v} level {l}")
+
+
+def test_adversary_port_above_cap_fires():
+    net, core = _grown("adversary")
+    v = next(v for v in net.alive_nodes() if net.children[v])
+    c = net.children[v][0]
+    q = net.port_to[v][c]
+    over = net.port_cap + 1
+    del net.ports[v][q]
+    net.ports[v][over] = c
+    net.port_to[v][c] = over
+    _fires(core, f"node {v}: adversary ports")
+
+
+def test_unreachable_node_fires():
+    net, core = _grown("designer")
+    leaf = next(v for v in net.alive_nodes() if v != net.root
+                and net.is_leaf(v))
+    net.children[net.parent[leaf]].remove(leaf)
+    msgs = _fires(core, f"node {leaf} unreachable from root")
+    assert "alive count does not match reachable set" in msgs
+
+
+def _count_sorts(monkeypatch):
+    """Count, per node, the children sorts of ``children_by_port`` and
+    of ``memory.sibling_order``."""
+    sorts = Counter()
+    by_port = Network.children_by_port
+    order = memory.sibling_order
+
+    def counted_by_port(net, v):
+        sorts[v] += 1
+        return by_port(net, v)
+
+    def counted_order(net, v):
+        sorts[v] += 1
+        return order(net, v)
+
+    monkeypatch.setattr(Network, "children_by_port", counted_by_port)
+    monkeypatch.setattr(memory, "sibling_order", counted_order)
+    return sorts
+
+
+@pytest.mark.parametrize("port_model", ["designer", "adversary"])
+def test_scan_sorts_each_node_at_most_once_on_a_star(port_model, monkeypatch):
+    assignment = (PortAssignment.COMPACT if port_model == "designer"
+                  else PortAssignment.ADVERSARY)
+    net = Network(assignment=assignment, rng=random.Random(5))
+    s = DynamicScheme(net, "distance", QuotaFunction.parse("pow:0.5"),
+                      port_model=port_model)
+    for _ in range(300):
+        s.add_leaf(0)
+    sorts = _count_sorts(monkeypatch)
+    assert s.scan_invariants() == []
+    assert max(sorts.values()) <= 1
+
+
+@pytest.mark.parametrize("port_model", ["designer", "adversary"])
+def test_scan_sorts_each_node_at_most_once_on_a_random_tree(port_model,
+                                                            monkeypatch):
+    net, core = _grown(port_model, seed=8, events=400)
+    sorts = _count_sorts(monkeypatch)
+    assert core.scan_invariants() == []
+    assert sorts and max(sorts.values()) <= 1
+
+
+def test_corpus_messages_match_the_recorded_ones():
+    """The recorded file holds the scan's messages on the corpus of
+    ``_corpus.py``; a change to the scan may not add, drop or reword any
+    of them."""
+    recorded = [json.loads(line) for line in CORPUS_FILE.read_text()
+                .splitlines()]
+    got = [[name, msgs] for name, msgs in corpus()]
+    assert [name for name, _ in got] == [name for name, _ in recorded]
+    for (name, msgs), (_, want) in zip(got, recorded):
+        assert msgs == want, name
+    # the corpus reaches the checks it is meant to exercise
+    fired = Counter(m.split(" at ")[0] for _, msgs in got for m in msgs)
+    assert fired["descendant closure broken"] > 0
+    assert fired["adversary count"] > 0
+    assert fired["designer watermark"] > 0

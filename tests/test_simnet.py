@@ -160,7 +160,7 @@ def test_port_uniqueness_after_random_events_both_models():
             else:
                 pool = net.alive_list
                 net.add_leaf(pool[rng.randrange(len(pool))])
-            assert net.check_port_uniqueness() == []
+            assert net.check_ports() == []
             assert net.check_tree_shape() == []
 
 
@@ -218,3 +218,29 @@ def test_messages_total_monotone():
         net.charge_path(frm, to, "signal")
         seen.append(net.ledger.messages_total)
     assert seen == sorted(seen)
+
+
+class CountedPorts:
+    """A seeded port source that fails after too many draws, so a
+    rejection loop that never ends fails the test instead of hanging."""
+
+    def __init__(self, seed, limit=1000):
+        self.rng = random.Random(seed)
+        self.left = limit
+
+    def randrange(self, n):
+        self.left -= 1
+        assert self.left >= 0, "too many port draws"
+        return self.rng.randrange(n)
+
+
+def test_full_adversary_port_range_rejects_the_add():
+    net = Network(assignment=PortAssignment.ADVERSARY, rng=CountedPorts(1),
+                  port_cap=1)
+    net.add_leaf(0)
+    net.add_leaf(0)
+    before = (net.next_id, dict(net.ports[0]), net.alive_count)
+    with pytest.raises(InvalidEvent, match="no free port"):
+        net.add_leaf(0)
+    assert (net.next_id, dict(net.ports[0]), net.alive_count) == before
+    assert net.check_ports() == []
