@@ -8,7 +8,7 @@ from .harness import (RunConfig, VerificationReport, generate_scenario, run)
 from .scheme_core import (SchemeCore, decode_labels, decode_dynamic_label,
                           dynamic_label_bits, encode_dynamic_label)
 from .simnet import (InvalidEvent, MetricsLedger, Network, PortAssignment,
-                     PortModel, ScenarioEvent, format_scenario, parse_scenario)
+                     ScenarioEvent, format_scenario, parse_scenario)
 from .static_schemes import scheme_for
 
 __all__ = [
@@ -17,6 +17,6 @@ __all__ = [
     "RunConfig", "VerificationReport", "generate_scenario", "run",
     "SchemeCore", "decode_labels", "decode_dynamic_label",
     "dynamic_label_bits", "encode_dynamic_label", "InvalidEvent",
-    "MetricsLedger", "Network", "PortAssignment", "PortModel",
-    "ScenarioEvent", "format_scenario", "parse_scenario", "scheme_for",
+    "MetricsLedger", "Network", "PortAssignment", "ScenarioEvent",
+    "format_scenario", "parse_scenario", "scheme_for",
 ]

@@ -1,8 +1,9 @@
 """Declared bound curves used by the harness and the acceptance suite.
 
 Every inequality the test suite enforces is pinned here rather than
-buried in test code: message budgets for scheme runs, label-size growth
-constants, and external-memory curves per port model.
+buried in test code: static label sizes and marker message counts,
+message budgets for scheme runs, label-size growth constants, and
+external-memory curves per port model.
 """
 
 from __future__ import annotations
@@ -11,6 +12,32 @@ from __future__ import annotations
 def log2c(n: int) -> int:
     """Ceiling log2, at least 1."""
     return max(1, (max(n, 2) - 1).bit_length())
+
+
+# Port width budgeted for stable and compact ports: the default cap's.
+STABLE_PORT_BITS = 21
+
+
+def port_cap_bits(port_cap: int) -> int:
+    return max(1, port_cap.bit_length())
+
+
+# Static schemes: LS(pi, n) label bits, given the port width (only
+# routing labels hold ports), and MC(pi, n) marker messages.
+
+
+def interval_label_budget(n: int, port_bits: int = STABLE_PORT_BITS) -> int:
+    return 4 * log2c(n) + 6
+
+
+def separator_label_budget(n: int, port_bits: int = STABLE_PORT_BITS) -> int:
+    lg = log2c(n)
+    return 4 * lg * (lg + 2) + 4 * lg + 8
+
+
+def routing_label_budget(n: int, port_bits: int = STABLE_PORT_BITS) -> int:
+    lg = log2c(n)
+    return 2 * lg * (lg + port_bits) + 6 * lg + 4 * port_bits + 12
 
 
 def marker_message_budget(m: int) -> int:
@@ -45,5 +72,5 @@ def designer_memory_budget(n: int, levels: int) -> int:
 
 
 def adversary_memory_budget(n: int, levels: int, port_cap: int) -> int:
-    tau_bits = max(1, port_cap.bit_length())
+    tau_bits = port_cap_bits(port_cap)
     return MEM_ADVERSARY_FACTOR * (levels + 2) * (2 * log2c(n) + 2 * tau_bits + 16)

@@ -13,8 +13,17 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .dynamic import QuotaFunction
 from .harness import RunConfig, generate_scenario, run
 from .simnet import DEFAULT_PORT_CAP, format_scenario
+
+
+def _quota_rule(text: str) -> str:
+    try:
+        QuotaFunction.parse(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
 
 
 def _build_parser():
@@ -32,7 +41,7 @@ def _build_parser():
     p.add_argument("--function",
                    choices=["ancestry", "distance", "seplevel", "routing"],
                    default="distance")
-    p.add_argument("--kfn", default="pow:0.5",
+    p.add_argument("--kfn", type=_quota_rule, default="pow:0.5",
                    help="quota rule: pow:E | logpow:E | const:K")
     p.add_argument("--watch", default="exact",
                    help="change tracker driving restarts")
@@ -56,19 +65,23 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     if args.command == "gen":
         events = generate_scenario(args.seed, args.events, args.pdelete)
         with open(args.out, "w") as fh:
             fh.write(format_scenario(events))
         return 0
-    config = RunConfig(
-        seed=args.seed, events=args.events, p_delete=args.pdelete,
-        model=args.model, port_model=args.ports, function=args.function,
-        quota_fn=args.kfn, tracker=args.watch, verify=args.verify,
-        invariants=args.invariants, bounds=not args.no_bounds,
-        port_cap=args.port_cap, scenario_path=args.scenario,
-        out_path=args.out, mem_out_path=args.mem_out)
+    try:
+        config = RunConfig(
+            seed=args.seed, events=args.events, p_delete=args.pdelete,
+            model=args.model, port_model=args.ports, function=args.function,
+            quota_fn=args.kfn, tracker=args.watch, verify=args.verify,
+            invariants=args.invariants, bounds=not args.no_bounds,
+            port_cap=args.port_cap, scenario_path=args.scenario,
+            out_path=args.out, mem_out_path=args.mem_out)
+    except ValueError as exc:
+        parser.error(str(exc))
     report = run(config)
     print(report.to_json())
     return 0 if report.passed() else 1

@@ -2,14 +2,14 @@
 
 * ``FiniteScheme``     -- one fixed-parameter nested-reset scheme run on a
   growing tree; finishes after the top level's reset quota fills.
-* ``IncreasingScheme`` -- chains finite schemes on a leaf-increasing tree:
-  whenever one finishes, the node count taken in its final whole-tree
-  reset picks the next quota and height (quota from a user-supplied
-  growth rule, height from how many quota-powers fit below twice the
-  count).
-* ``DynamicScheme``    -- the leaf-dynamic variant: deletions are handled
-  by ever-count shares and backup copies, resets count nodes that were
-  ever in a subtree, and a change tracker restarts the whole scheme on
+* ``PhasedScheme``     -- chains finite schemes: whenever one finishes,
+  the node count taken in its final whole-tree reset picks the next
+  quota and height (quota from a user-supplied growth rule, height from
+  how many quota-powers fit below twice the count).
+* ``IncreasingScheme`` -- the phased driver on a leaf-increasing tree.
+* ``DynamicScheme``    -- the phased driver with deletions: resets count
+  nodes that were ever in a subtree (ever-count shares), backup copies
+  absorb deletions, and a change tracker restarts the whole scheme on
   the current tree once additions or deletions since the last restart
   exceed a ninth of its baseline size.
 """
@@ -122,22 +122,26 @@ def make_tracker(name: str):
         raise ValueError(f"unknown change tracker {name!r}") from None
 
 
-def _bookkeeping_kind(function: str, port_model: str) -> str:
-    # a routing scheme embeds port numbers in its labels, so its ports can
-    # never be renumbered and scope identification must use child tables
-    if function == "routing":
-        return "adversary"
-    return "adversary" if port_model == "adversary" else "designer"
+class _CoreDriver:
+    """What every driver answers straight from its running ``SchemeCore``."""
+
+    def label(self, w):
+        return self.core.label(w)
+
+    def query(self, u, v):
+        return self.core.query(u, v)
+
+    def scan_invariants(self):
+        return self.core.scan_invariants()
 
 
-class FiniteScheme:
+class FiniteScheme(_CoreDriver):
     """Standalone fixed-parameter scheme on a growing tree."""
 
     def __init__(self, net, function: str, *, quota: int, levels: int,
-                 bookkeeping: str = "designer", verify_scopes: bool = False):
+                 verify_scopes: bool = False):
         self.net = net
         self.core = SchemeCore(net, function, quota=quota, levels=levels,
-                               bookkeeping=bookkeeping,
                                verify_scopes=verify_scopes)
         self.core.install_fresh()
         self.core.on_finished = self._finish
@@ -157,122 +161,58 @@ class FiniteScheme:
     def add_leaf(self, parent: int) -> int:
         return self.core.apply_add(parent)
 
-    def label(self, w):
-        return self.core.label(w)
 
-    def query(self, u, v):
-        return self.core.query(u, v)
+class PhasedScheme(_CoreDriver):
+    """Finite phases chained by counted whole-tree resets.
 
-    def scan_invariants(self):
-        return self.core.scan_invariants()
+    Each phase is a ``SchemeCore`` run; when its top level's quota
+    fills, the count of that final reset picks the next phase's quota
+    and height.  With ``deletions`` (the leaf-dynamic model) every change
+    is also reported to the root along a ``watch`` path, and the change
+    tracker restarts the scheme on the current tree once it crosses.
+    """
 
-
-class IncreasingScheme:
-    """Leaf-increasing driver: finite phases chained by counted resets."""
-
-    def __init__(self, net, function: str, quota_fn: QuotaFunction, *,
-                 port_model: str = "designer", verify_scopes: bool = False):
-        self.net = net
-        self.quota_fn = quota_fn
-        self.event_index = 0
-        self.phase_log = []
-        bookkeeping = _bookkeeping_kind(function, port_model)
-        if net.alive_count == 1:
-            quota, levels = quota_fn.value(1), 1
-            self.core = SchemeCore(net, function, quota=quota, levels=levels,
-                                   bookkeeping=bookkeeping,
-                                   verify_scopes=verify_scopes)
-            self.core.install_fresh()
-        else:
-            params = compute_phase_params(net.alive_count, quota_fn)
-            self.core = SchemeCore(net, function, quota=params.quota,
-                                   levels=params.levels,
-                                   bookkeeping=bookkeeping,
-                                   verify_scopes=verify_scopes)
-            self.core.install_on_tree()
-        self.core.on_finished = self._phase_shift
-
-    def _phase_shift(self, count):
-        params = compute_phase_params(count, self.quota_fn)
-        self.core.transition(params.quota, params.levels)
-        self.phase_log.append((self.event_index, params))
-        self.net.ledger.phase_log.append(
-            (self.event_index, count, params.quota, params.levels))
-
-    @property
-    def quota(self):
-        return self.core.quota
-
-    @property
-    def levels(self):
-        return self.core.levels
-
-    def add_leaf(self, parent: int) -> int:
-        self.event_index += 1
-        return self.core.apply_add(parent)
-
-    def remove_leaf(self, leaf: int) -> None:
-        raise InvalidEvent("the leaf-increasing model has no deletions")
-
-    def apply(self, event: ScenarioEvent) -> None:
-        if event.kind == "A":
-            self.add_leaf(event.target)
-        else:
-            self.remove_leaf(event.target)
-
-    def label(self, w):
-        return self.core.label(w)
-
-    def query(self, u, v):
-        return self.core.query(u, v)
-
-    def scan_invariants(self):
-        return self.core.scan_invariants()
-
-
-class DynamicScheme:
-    """Leaf-dynamic driver: ever-counted resets, backups, tracked restarts."""
+    deletions = False
 
     def __init__(self, net, function: str, quota_fn: QuotaFunction, *,
-                 port_model: str = "designer", tracker: str = "exact",
-                 verify_scopes: bool = False):
+                 tracker: str = "exact", verify_scopes: bool = False):
         self.net = net
         self.quota_fn = quota_fn
         self.event_index = 0
         self.phase_log = []
         self.restart_log = []
-        bookkeeping = _bookkeeping_kind(function, port_model)
-        if net.alive_count == 1:
-            quota, levels = quota_fn.value(1), 1
-            self.core = SchemeCore(net, function, quota=quota, levels=levels,
-                                   bookkeeping=bookkeeping, dynamic_mode=True,
-                                   count_ever=True, verify_scopes=verify_scopes)
-            self.core.install_fresh()
-            n0 = 1
+        fresh = net.alive_count == 1
+        if fresh:
+            n0, quota, levels = 1, quota_fn.value(1), 1
         else:
             n0 = self._measure_tree()
             params = compute_phase_params(n0, quota_fn)
-            self.core = SchemeCore(net, function, quota=params.quota,
-                                   levels=params.levels,
-                                   bookkeeping=bookkeeping, dynamic_mode=True,
-                                   count_ever=True, verify_scopes=verify_scopes)
+            quota, levels = params.quota, params.levels
+        self.core = SchemeCore(net, function, quota=quota, levels=levels,
+                               deletions=self.deletions,
+                               verify_scopes=verify_scopes)
+        if fresh:
+            self.core.install_fresh()
+        else:
             self.core.install_on_tree()
         self.core.on_finished = self._phase_shift
-        self.tracker = make_tracker(tracker)
-        self.tracker.restart_baseline(n0)
+        self.tracker = None
+        if self.deletions:
+            self.tracker = make_tracker(tracker)
+            self.tracker.restart_baseline(n0)
 
     def _measure_tree(self) -> int:
-        alive = set(self.net.alive_nodes())
+        """The alive node count; counted by a ``watch`` convergecast when
+        nodes can leave, since the root then has no standing count."""
+        if not self.deletions:
+            return self.net.alive_count
         return self.net.broadcast_convergecast(
-            self.net.root, lambda p, c: c in alive, lambda v: 1,
-            category="watch")
+            self.net.root, lambda p, c: True, lambda v: 1, category="watch")
 
     def _phase_shift(self, count):
         params = compute_phase_params(count, self.quota_fn)
         self.core.transition(params.quota, params.levels)
         self.phase_log.append((self.event_index, params))
-        self.net.ledger.phase_log.append(
-            (self.event_index, count, params.quota, params.levels))
 
     @property
     def quota(self):
@@ -285,12 +225,15 @@ class DynamicScheme:
     def add_leaf(self, parent: int) -> int:
         self.event_index += 1
         child = self.core.apply_add(parent)
-        self.net.charge_path(child, self.net.root, "watch")
-        if self.tracker.on_change("A"):
-            self._restart()
+        if self.deletions:
+            self.net.charge_path(child, self.net.root, "watch")
+            if self.tracker.on_change("A"):
+                self._restart()
         return child
 
     def remove_leaf(self, leaf: int) -> None:
+        if not self.deletions:
+            raise InvalidEvent("the leaf-increasing model has no deletions")
         self.event_index += 1
         parent = self.net.parent[leaf]
         self.core.apply_remove(leaf)
@@ -312,13 +255,19 @@ class DynamicScheme:
         self.core.install_on_tree()
         self.tracker.restart_baseline(n0)
         self.restart_log.append((self.event_index, n0))
-        self.net.ledger.restart_log.append((self.event_index, n0))
 
-    def label(self, w):
-        return self.core.label(w)
 
-    def query(self, u, v):
-        return self.core.query(u, v)
+# Two sibling classes, not one class under two names: each model is its
+# own type to callers that wrap ``apply`` or ``_restart`` per class.
 
-    def scan_invariants(self):
-        return self.core.scan_invariants()
+
+class IncreasingScheme(PhasedScheme):
+    """Leaf-increasing driver: finite phases chained by counted resets."""
+
+    deletions = False
+
+
+class DynamicScheme(PhasedScheme):
+    """Leaf-dynamic driver: ever-counted resets, backups, tracked restarts."""
+
+    deletions = True

@@ -289,17 +289,3 @@ def get_function(name: str) -> TreeFunction:
     except KeyError:
         raise FunctionError(f"unknown tree function {name!r}") from None
 
-
-def encode_generic(label_u: str, label_v: str) -> str:
-    """Fallback value encoding: the two endpoint static labels verbatim.
-
-    Costs at most two label sizes plus framing, which is the bound the
-    per-function encoders above always beat.
-    """
-    return bits.block(label_u) + bits.block(label_v)
-
-
-def decode_generic(s: str, pos: int = 0) -> tuple[tuple[str, str], int]:
-    a, pos = bits.read_block(s, pos)
-    b, pos = bits.read_block(s, pos)
-    return (a, b), pos

@@ -9,20 +9,38 @@ zero bound violations.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 import random
 from dataclasses import dataclass, field
 
 from . import budgets
-from .dynamic import (DynamicScheme, IncreasingScheme, QuotaFunction)
+from .bits import BitsError
+from .dynamic import TRACKERS, DynamicScheme, IncreasingScheme, QuotaFunction
 from .functions import get_function
-from .simnet import (DEFAULT_PORT_CAP, InvalidEvent, Network, PortAssignment,
-                     ScenarioEvent, parse_scenario)
-from .static_schemes import scheme_for
+from .memory import MemoryError_
+from .scheme_core import SchemeError, decode_labels
+from .simnet import (DEFAULT_PORT_CAP, Network, PortAssignment, ScenarioEvent,
+                     SimulationError, parse_scenario)
+from .static_schemes import DecodeError, scheme_for
 
 EXHAUSTIVE_HARD_CAP = 128
 AUTO_EXHAUSTIVE_LIMIT = 64
+
+
+class ExhaustiveCapError(ValueError):
+    """Exhaustive verification asked of a tree above the hard cap."""
+
+
+# Scheme failures a run records as an error before it stops;
+# SimulationError covers InvalidEvent and DeadNeighborError.
+RUN_ERRORS = (SimulationError, SchemeError, DecodeError, MemoryError_,
+              BitsError, ExhaustiveCapError)
+
+# Report fields copied verbatim from the run's ledger.
+LEDGER_FIELDS = ("messages_total", "messages_to_dead", "max_label_bits",
+                 "max_memory_bits", "reset_count", "marker_max_messages")
 
 
 @dataclass
@@ -56,6 +74,9 @@ class RunConfig:
             raise ValueError(f"unknown invariant mode {self.invariants!r}")
         if self.port_cap < 0:
             raise ValueError("the port cap must be nonnegative")
+        if self.tracker not in TRACKERS:
+            raise ValueError(f"unknown change tracker {self.tracker!r}")
+        QuotaFunction.parse(self.quota_fn)
         self._parse_verify()
 
     def _parse_verify(self):
@@ -174,16 +195,10 @@ def build_network(config: RunConfig) -> Network:
 
 
 def build_runner(config: RunConfig, net: Network):
-    qf = QuotaFunction.parse(config.quota_fn)
-    verify_scopes = config.invariants != "off"
-    if config.model == "increasing":
-        return IncreasingScheme(net, config.function, qf,
-                                port_model=config.port_model,
-                                verify_scopes=verify_scopes)
-    return DynamicScheme(net, config.function, qf,
-                         port_model=config.port_model,
-                         tracker=config.tracker,
-                         verify_scopes=verify_scopes)
+    driver = IncreasingScheme if config.model == "increasing" else DynamicScheme
+    return driver(net, config.function, QuotaFunction.parse(config.quota_fn),
+                  tracker=config.tracker,
+                  verify_scopes=config.invariants != "off")
 
 
 def verify_step(runner, fn, mode, sample_size, rng, event_index, seed,
@@ -194,12 +209,12 @@ def verify_step(runner, fn, mode, sample_size, rng, event_index, seed,
     exhaustive = (mode == "exhaustive"
                   or (mode == "sampled" and n <= AUTO_EXHAUSTIVE_LIMIT))
     if mode == "exhaustive" and n > EXHAUSTIVE_HARD_CAP:
-        raise ValueError("exhaustive verification is capped at 128 nodes")
+        raise ExhaustiveCapError(f"exhaustive verification is capped at "
+                                 f"{EXHAUSTIVE_HARD_CAP} nodes")
     checked = 0
     if exhaustive:
         nodes = sorted(net.alive_nodes())
         labels = {v: runner.label(v) for v in nodes}
-        from .scheme_core import decode_labels
         pi = runner.core.pi
         ordered = not fn.symmetric
         for i, u in enumerate(nodes):
@@ -234,6 +249,11 @@ class _BoundTracker:
         self.net = net
         self.runner = runner
         self.pi = scheme_for(config.function)
+        # label curves take the width of a port number, as wide as the
+        # run's cap under adversary ports
+        self.port_bits = (budgets.port_cap_bits(config.port_cap)
+                          if net.assignment is PortAssignment.ADVERSARY
+                          else budgets.STABLE_PORT_BITS)
         self.epoch_base_messages = 0
         self.epoch_base_joins = 0
         self.epoch_n0 = net.alive_count
@@ -245,7 +265,7 @@ class _BoundTracker:
 
     def after_event(self, event_index, report) -> None:
         ledger = self.net.ledger
-        restarts = getattr(self.runner, "restart_log", [])
+        restarts = self.runner.restart_log
         if len(restarts) > self.restarts_seen:
             self.restarts_seen = len(restarts)
             self.epoch_base_messages = ledger.protocol_messages()
@@ -264,7 +284,7 @@ class _BoundTracker:
                 f"budget {allowed} (quota {self.runner.quota}, levels "
                 f"{self.runner.levels}, count {ever})")
         label_budget = budgets.dynamic_label_budget(
-            self.pi.ls_budget(ever), self.runner.levels)
+            self.pi.ls_budget(ever, self.port_bits), self.runner.levels)
         if ledger.max_label_bits > label_budget:
             report.bound_violations.append(
                 f"event {event_index}: label bits {ledger.max_label_bits} "
@@ -301,17 +321,17 @@ def run(config: RunConfig) -> VerificationReport:
     for i, ev in enumerate(events, 1):
         try:
             runner.apply(ev)
-        except InvalidEvent as exc:
-            report.errors.append(f"event {i}: {exc}")
+            report.events_applied = i
+            net.ledger.snapshot_event(i, net.alive_count)
+            if mode != "off":
+                verify_step(runner, fn, mode, sample_size, rng_verify, i,
+                            config.seed, report)
+            if config.invariants == "every-event":
+                for msg in runner.scan_invariants():
+                    report.invariant_violations.append(f"event {i}: {msg}")
+        except RUN_ERRORS as exc:
+            report.errors.append(f"event {i}: {type(exc).__name__}: {exc}")
             break
-        report.events_applied = i
-        net.ledger.snapshot_event(i, net.alive_count)
-        if mode != "off":
-            verify_step(runner, fn, mode, sample_size, rng_verify, i,
-                        config.seed, report)
-        if config.invariants == "every-event":
-            for msg in runner.scan_invariants():
-                report.invariant_violations.append(f"event {i}: {msg}")
         if bound_tracker is not None:
             bound_tracker.after_event(i, report)
     if config.invariants == "final":
@@ -319,18 +339,14 @@ def run(config: RunConfig) -> VerificationReport:
     if bound_tracker is not None:
         bound_tracker.final(report)
     ledger = net.ledger
+    for name in LEDGER_FIELDS:
+        setattr(report, name, getattr(ledger, name))
     report.final_n = net.alive_count
-    report.messages_total = ledger.messages_total
     report.messages_by_category = dict(ledger.by_category)
-    report.messages_to_dead = ledger.messages_to_dead
     report.protocol_messages = ledger.protocol_messages()
-    report.max_label_bits = ledger.max_label_bits
-    report.max_memory_bits = ledger.max_memory_bits
-    report.reset_count = ledger.reset_count
-    report.marker_max_messages = ledger.marker_max_messages
-    report.restarts = list(getattr(runner, "restart_log", []))
+    report.restarts = list(runner.restart_log)
     report.phases = [(i, p.tree_count, p.quota, p.levels)
-                     for i, p in getattr(runner, "phase_log", [])]
+                     for i, p in runner.phase_log]
     if config.out_path:
         ledger.write_csv(config.out_path)
     if config.mem_out_path:
@@ -339,7 +355,6 @@ def run(config: RunConfig) -> VerificationReport:
 
 
 def write_memory_report(path, runner) -> None:
-    import csv
     core = runner.core
     with open(path, "w", newline="") as fh:
         out = csv.writer(fh)

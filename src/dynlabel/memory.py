@@ -65,7 +65,6 @@ class DesignerBookkeeping:
     """Scoped ports kept as the prefix 1..watermark[l] of v's ports."""
 
     kind = "designer"
-    message_free = True
 
     def __init__(self, engine):
         self.engine = engine
@@ -89,11 +88,8 @@ class DesignerBookkeeping:
         zero every watermark."""
         net = self.engine.net
         for v in members:
-            mapping = {}
-            nxt = 1
-            for c in sorted(net.children[v], key=net.port_to[v].__getitem__):
-                mapping[nxt] = c
-                nxt += 1
+            mapping = dict(enumerate(
+                sorted(net.children[v], key=net.port_to[v].__getitem__), 1))
             p = net.parent[v]
             if p is not None:
                 mapping[net.degree(v)] = p
@@ -143,6 +139,9 @@ class DesignerBookkeeping:
                 continue
             pt = port_to[v]
             for l in range(1, levels):
+                if watermark[l] < 0:
+                    out.append(f"designer watermark at node {v} level {l}: "
+                               f"{watermark[l]} < 0")
                 got = set(range(1, watermark[l] + 1))
                 want = {pt[c] for c in order if flag[c] < l}
                 if got != want:
@@ -155,11 +154,9 @@ class AdversaryBookkeeping:
     """Per-child table slots whose prefix union is the scoped port set."""
 
     kind = "adversary"
-    message_free = False
 
-    def __init__(self, engine, with_backrefs):
+    def __init__(self, engine):
         self.engine = engine
-        self.with_backrefs = with_backrefs
 
     def _write(self, nodes):
         nodes = set(nodes)
@@ -173,19 +170,20 @@ class AdversaryBookkeeping:
         j = order.index(child) + 1
         port_u = net.port_to[parent][child]
         vst = states[parent]
+        backrefs = self.engine.deletions
         touched = set()
         for l in range(1, self.engine.levels):
             c = vst.scoped_count[l]
             if j <= c:
                 states[child].slot_table[l] = port_u
-                if self.with_backrefs:
+                if backrefs:
                     states[child].slot_backref[l] = port_u
                 touched.add(child)
             else:
                 target = order[c]
                 states[target].slot_table[l] = port_u
                 touched.add(target)
-                if self.with_backrefs:
+                if backrefs:
                     states[child].slot_backref[l] = net.port_to[parent][target]
                     touched.add(child)
             vst.scoped_count[l] = c + 1
@@ -208,7 +206,7 @@ class AdversaryBookkeeping:
                     states[order[i]].slot_table[l] = None
                     touched.add(order[i])
                 vst.scoped_count[l] = 0
-            if self.with_backrefs:
+            if self.engine.deletions:
                 for c in net.children[v]:
                     if c in member_set:
                         for l in range(1, level):
@@ -287,7 +285,7 @@ class AdversaryBookkeeping:
         lv = self.engine.levels
         n = _counter_list_bits(st.scoped_count[1:lv])
         n += _slot_list_bits(st.slot_table[1:lv])
-        if self.with_backrefs:
+        if self.engine.deletions:
             n += _slot_list_bits(st.slot_backref[1:lv])
         p = self.engine.net.parent[v]
         if p is not None:
@@ -303,6 +301,7 @@ class AdversaryBookkeeping:
         engine = self.engine
         levels = engine.levels
         states, net = engine.states, engine.net
+        backrefs = engine.deletions
         out = []
         for v, order in orders.items():
             scoped_count = states[v].scoped_count
@@ -322,7 +321,7 @@ class AdversaryBookkeeping:
                     out.append(f"adversary tables at node {v} level {l}: "
                                f"{sorted(map(str, got))} != "
                                f"{sorted(map(str, want))}")
-                if not self.with_backrefs:
+                if not backrefs:
                     continue
                 for u, p, st in rows:
                     ref = st.slot_backref[l]
@@ -389,19 +388,12 @@ class BackupStore:
         if v is None:
             return
         order = sibling_order(net, v)
-        if len(order) == 1:
-            for s in list(self.copies.get(v, ())):
-                if s in order and s != subject:
-                    self._erase(v, s)
-            self._erase_subject_everywhere(subject, v, order)
-            self._place(v, subject)
-        else:
-            nxt = next_sibling(net, v, subject, order)
-            for s in list(self.copies.get(nxt, ())):
-                if s in order and s != subject:
-                    self._erase(nxt, s)
-            self._erase_subject_everywhere(subject, v, order)
-            self._place(nxt, subject)
+        holder = v if len(order) == 1 else next_sibling(net, v, subject, order)
+        for s in list(self.copies.get(holder, ())):
+            if s in order and s != subject:
+                self._erase(holder, s)
+        self._erase_subject_everywhere(subject, v, order)
+        self._place(holder, subject)
 
     def on_leaf_added(self, parent, child):
         net = self.engine.net

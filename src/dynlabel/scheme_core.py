@@ -30,7 +30,7 @@ from . import bits
 from .functions import get_function
 from .memory import (AdversaryBookkeeping, BackupStore, DesignerBookkeeping,
                      int_bits)
-from .simnet import InvalidEvent
+from .simnet import InvalidEvent, PortAssignment
 from .static_schemes import DecodeError, scheme_for
 
 
@@ -59,11 +59,16 @@ class NodeState:
 
 
 class SchemeCore:
-    """One running scheme instance over a live network."""
+    """One running scheme instance over a live network.
+
+    With ``deletions`` (the leaf-dynamic model) resets count every node
+    that ever joined a scope, and backup copies let a parent repair its
+    memory when a child leaves.  Port bookkeeping follows the network's
+    ports: designer renumbering on compact ones, child tables otherwise.
+    """
 
     def __init__(self, net, function: str, *, quota: int, levels: int,
-                 bookkeeping: str = "designer", dynamic_mode: bool = False,
-                 count_ever: bool = False, verify_scopes: bool = False):
+                 deletions: bool = False, verify_scopes: bool = False):
         if quota < 2:
             raise SchemeError("reset quota must exceed 1")
         if levels < 1:
@@ -71,29 +76,24 @@ class SchemeCore:
         self.net = net
         self.fn = get_function(function)
         self.pi = scheme_for(function)
-        if function == "routing" and net.assignment.value == "compact":
+        compact = net.assignment is PortAssignment.COMPACT
+        if function == "routing" and compact:
             raise SchemeError("routing labels pin port numbers; the network "
                               "must use stable or adversary ports")
         self.quota = quota
         self.levels = levels
-        self.dynamic_mode = dynamic_mode
-        self.count_ever = count_ever
+        self.deletions = deletions
         self.verify_scopes = verify_scopes
         self.states: dict[int, NodeState] = {}
-        if bookkeeping == "designer":
-            self.bookkeeping = DesignerBookkeeping(self)
-        elif bookkeeping == "adversary":
-            self.bookkeeping = AdversaryBookkeeping(self, with_backrefs=dynamic_mode)
-        else:
-            raise SchemeError(f"unknown bookkeeping {bookkeeping!r}")
-        self.backups = BackupStore(self) if dynamic_mode else None
+        self.bookkeeping = (DesignerBookkeeping(self) if compact
+                            else AdversaryBookkeeping(self))
+        self.backups = BackupStore(self) if deletions else None
         self.finished = False
         self.joins = 0
         self.on_finished = None          # callback(last reset count)
         self.last_reset_labels = None
         self.last_reset_members = None
         self.last_reset_count = None
-        self.epoch = 0
         self.violations: list[str] = []
         self._dirty_mem: set[int] = set()
         self._dirty_labels: set[int] = set()
@@ -108,93 +108,69 @@ class SchemeCore:
         if self.net.alive_count != 1:
             raise SchemeError("fresh install requires a singleton tree")
         root = self.net.root
-        st = NodeState(self.levels)
-        st.top_scope = self.levels
-        for l in range(1, self.levels + 1):
-            st.ever_share[l] = 1
-            st.ever_count[l] = 1
-        for l in range(2, self.levels + 1):
-            st.links[l] = self.fn.self_value(self.net, root)
-        self.states[root] = st
         labels = self.pi.marker(self.net, root, {root})
-        for l in range(1, self.levels + 1):
-            st.statics[l] = labels[root]
+        self._fresh_states([root], labels)
         self.last_reset_labels = labels
         self.last_reset_members = [root]
         self.last_reset_count = 1
-        self._dirty_labels.add(root)
-        self._dirty_mem.add(root)
         self._flush_event()
 
-    def install_on_tree(self) -> int:
+    def install_on_tree(self) -> None:
         """Start (or restart) on the current multi-node tree: one counted
         whole-tree reset, then every node roots fresh lower scopes."""
         net = self.net
         root = net.root
         members = self._whole_tree_order()
-        for v in members:
-            st = NodeState(self.levels)
-            st.top_scope = self.levels if v == root else self.levels - 1
-            for l in range(1, self.levels + 1):
-                st.ever_share[l] = 1
-                st.ever_count[l] = 1
-            for l in range(2, self.levels + 1):
-                st.links[l] = self.fn.self_value(net, v)
-            self.states[v] = st
-        count = self._count_scope(root, set(members), self.levels)
+        mset = set(members)
+        labels = self.pi.marker(net, root, mset)
+        self._fresh_states(members, labels)
+        count = self._count_scope(root, mset, self.levels)
         rst = self.states[root]
         rst.tally[self.levels] = 1
         rst.ever_count[self.levels] = count
-        labels = self.pi.marker(net, root, set(members))
-        for v in members:
-            st = self.states[v]
-            for l in range(1, self.levels + 1):
-                st.statics[l] = labels[v]
         self.bookkeeping.on_whole_tree_reset(members)
-        if len(members) > 1:
-            net.ledger.count("broadcast", len(members) - 1)
         net.ledger.reset_count += 1
-        self.epoch += 1
         self.last_reset_labels = labels
         self.last_reset_members = members
         self.last_reset_count = count
         self.finished = False
-        self._dirty_labels.update(members)
-        self._dirty_mem.update(members)
         self._flush_event()
-        return count
 
     def transition(self, quota: int, levels: int) -> None:
         """Swap phase parameters in place, reusing the labels of the
         whole-tree reset that just completed."""
         if quota < 2:
             raise SchemeError("reset quota must exceed 1")
-        labels = self.last_reset_labels
         members = self.last_reset_members
-        net = self.net
-        root = net.root
+        states = self.states
         old_levels = self.levels
-        carry = {v: self.states[v].ever_share[old_levels] for v in members}
-        carry_total = self.states[root].ever_count[old_levels]
+        carry = [states[v].ever_share[old_levels] for v in members]
+        carry_total = states[self.net.root].ever_count[old_levels]
         self.quota, self.levels = quota, levels
-        for v in members:
-            st = NodeState(levels)
-            st.top_scope = levels if v == root else levels - 1
-            for l in range(1, levels + 1):
-                st.ever_share[l] = 1
-                st.ever_count[l] = 1
-            st.ever_share[levels] = carry[v]
-            for l in range(2, levels + 1):
-                st.links[l] = self.fn.self_value(net, v)
-            for l in range(1, levels + 1):
-                st.statics[l] = labels[v]
-            self.states[v] = st
-        rst = self.states[root]
+        self._fresh_states(members, self.last_reset_labels)
+        for v, share in zip(members, carry):
+            states[v].ever_share[levels] = share
+        rst = states[self.net.root]
         rst.tally[levels] = 1
         rst.ever_count[levels] = carry_total
+        self.finished = False
+
+    def _fresh_states(self, members, labels) -> None:
+        """New memory for every member of a whole-tree reset, broadcast
+        from the root: each member roots every scope below the top (the
+        root every scope), counts once at every level and holds its new
+        static label at every level."""
+        net, levels = self.net, self.levels
+        self_value = self.fn.self_value
+        for v in members:
+            st = NodeState(levels)
+            st.top_scope = levels if v == net.root else levels - 1
+            st.ever_share[1:] = st.ever_count[1:] = [1] * levels
+            st.statics[1:] = [labels[v]] * levels
+            st.links[2:] = [self_value(net, v)] * (levels - 1)
+            self.states[v] = st
         if len(members) > 1:
             net.ledger.count("broadcast", len(members) - 1)
-        self.finished = False
         self._dirty_labels.update(members)
         self._dirty_mem.update(members)
 
@@ -245,7 +221,7 @@ class SchemeCore:
         self._cascade(child, anchors)
 
     def _leaving(self, leaf: int) -> None:
-        if not self.dynamic_mode:
+        if not self.deletions:
             raise InvalidEvent("deletions need the leaf-dynamic scheme")
         net = self.net
         parent = net.parent[leaf]
@@ -311,7 +287,6 @@ class SchemeCore:
         else:
             self.bookkeeping.on_reset(members, level)
         net.ledger.reset_count += 1
-        self.epoch += 1
         self.last_reset_labels = labels
         self.last_reset_members = members
         self.last_reset_count = count
@@ -320,7 +295,7 @@ class SchemeCore:
         return members
 
     def _count_scope(self, root, mset, level) -> int:
-        if self.count_ever:
+        if self.deletions:
             agg = lambda w: self.states[w].ever_share[level]
         else:
             agg = lambda w: 1
@@ -403,9 +378,6 @@ class SchemeCore:
     def query(self, u: int, v: int):
         return decode_labels(self.fn, self.pi, self.label(u), self.label(v))
 
-    def label_bits(self, w: int) -> int:
-        return dynamic_label_bits(self.pi, self.fn, self.label(w))
-
     # -- per-event bookkeeping ------------------------------------------------
 
     def mark_memory_dirty(self, nodes) -> None:
@@ -419,7 +391,8 @@ class SchemeCore:
                     self.backups.refresh(x)
         for w in sorted(self._dirty_labels):
             if net.is_alive(w):
-                net.ledger.note_label_bits(self.label_bits(w))
+                net.ledger.note_label_bits(
+                    dynamic_label_bits(self.pi, self.fn, self.label(w)))
         for x in sorted(self._dirty_mem):
             if net.is_alive(x):
                 net.ledger.note_memory_bits(self.memory_bits(x))
@@ -560,12 +533,10 @@ def decode_dynamic_label(pi, fn, s: str, pos: int = 0):
     if pos >= len(s):
         raise bits.BitsError("empty label wire")
     tag = s[pos]
-    if tag == "0":
-        payload, pos = bits.read_block(s, pos + 1)
-        static, _ = pi.decode_label(payload, 0)
-        return ("L", static), pos
     payload, pos = bits.read_block(s, pos + 1)
     static, _ = pi.decode_label(payload, 0)
+    if tag == "0":
+        return ("L", static), pos
     fpayload, pos = bits.read_block(s, pos)
     fval, _ = fn.decode(fpayload, 0)
     inner, pos = decode_dynamic_label(pi, fn, s, pos)

@@ -39,11 +39,6 @@ class DeadNeighborError(SimulationError):
     """A message was addressed to a deleted node."""
 
 
-class PortModel(str, Enum):
-    DESIGNER = "designer"
-    ADVERSARY = "adversary"
-
-
 class PortAssignment(str, Enum):
     COMPACT = "compact"
     STABLE = "stable"
@@ -70,10 +65,12 @@ def parse_scenario(text: str) -> list[ScenarioEvent]:
         line = raw.strip()
         if not line:
             continue
-        parts = line.split()
-        if len(parts) != 2 or parts[0] not in ("A", "R"):
-            raise ValueError(f"line {lineno}: bad scenario line {raw!r}")
-        events.append(ScenarioEvent(parts[0], int(parts[1])))
+        try:
+            kind, target = line.split()
+            events.append(ScenarioEvent(kind, int(target)))
+        except ValueError:
+            raise ValueError(f"line {lineno}: bad scenario line "
+                             f"{raw!r}") from None
     return events
 
 
@@ -91,12 +88,9 @@ class MetricsLedger:
     max_label_bits: int = 0
     max_memory_bits: int = 0
     reset_count: int = 0
-    marker_invocations: int = 0
     marker_max_messages: int = 0
     marker_last_messages: int = 0
     per_event_rows: list = field(default_factory=list)
-    restart_log: list = field(default_factory=list)
-    phase_log: list = field(default_factory=list)
 
     def count(self, category: str, n: int = 1) -> None:
         self.messages_total += n
@@ -121,7 +115,6 @@ class MetricsLedger:
             self.max_memory_bits = n
 
     def note_marker(self, messages: int) -> None:
-        self.marker_invocations += 1
         self.marker_last_messages = messages
         if messages > self.marker_max_messages:
             self.marker_max_messages = messages
@@ -159,7 +152,6 @@ class Network:
         self.ports = {0: {}}             # node -> {port: neighbor}
         self.port_to = {0: {}}           # node -> {neighbor: port}
         self.ledger = MetricsLedger()
-        self.handlers = {}               # node -> callable(frm_port, payload)
         self._add_listeners = []
         self._remove_listeners = []
 
@@ -170,9 +162,6 @@ class Network:
 
     def on_remove(self, cb) -> None:
         self._remove_listeners.append(cb)
-
-    def set_handler(self, node, cb) -> None:
-        self.handlers[node] = cb
 
     # -- queries ------------------------------------------------------
 
@@ -239,7 +228,6 @@ class Network:
         if last != leaf:
             self.alive_list[i] = last
             self._alive_pos[last] = i
-        self.handlers.pop(leaf, None)
 
     def _assign_ports(self, parent, child):
         if self.assignment is PortAssignment.COMPACT:
@@ -292,7 +280,7 @@ class Network:
 
     # -- messaging ------------------------------------------------------
 
-    def send(self, frm: int, via_port: int, payload=None, category="protocol"):
+    def send(self, frm: int, via_port: int, category="protocol"):
         """One charged hop to the neighbor behind via_port."""
         try:
             to = self.ports[frm][via_port]
@@ -302,9 +290,6 @@ class Network:
             self.ledger.messages_to_dead += 1
             raise DeadNeighborError(f"message from {frm} to deleted node {to}")
         self.ledger.count(category)
-        handler = self.handlers.get(to)
-        if handler is not None:
-            handler(self.port_to[to][frm], payload)
         return to
 
     def charge_path(self, frm: int, ancestor: int, category: str) -> int:
@@ -321,18 +306,16 @@ class Network:
         return hops
 
     def broadcast_convergecast(self, subtree_root: int, edge_filter,
-                               aggregate, combine=None, category="reset_count"):
+                               aggregate, category="reset_count"):
         """Broadcast down and converge back up over a filtered subtree.
 
         ``edge_filter(parent, child)`` selects the subtree edges;
-        ``aggregate(node)`` yields each member's contribution and
-        ``combine`` folds them (defaults to addition).  Charges exactly
-        2*(m-1) messages for a subtree of m members.
+        ``aggregate(node)`` yields each member's contribution; the sum
+        is returned.  Charges exactly 2*(m-1) messages for a subtree of
+        m members.
         """
         if not self.is_alive(subtree_root):
             raise SimulationError(f"subtree root {subtree_root} not alive")
-        if combine is None:
-            combine = lambda a, b: a + b
         total = aggregate(subtree_root)
         stack = [subtree_root]
         while stack:
@@ -342,19 +325,11 @@ class Network:
                     continue
                 self.send(v, self.port_to[v][c], category=category)      # down
                 self.send(c, self.port_to[c][v], category=category)      # up
-                total = combine(total, aggregate(c))
+                total += aggregate(c)
                 stack.append(c)
         return total
 
-    # -- oracles over the live tree --------------------------------------
-
-    def nca(self, u, v):
-        from .functions import nca
-        return nca(self, u, v)
-
-    def distance(self, u, v):
-        a = self.nca(u, v)
-        return self.depth[u] + self.depth[v] - 2 * self.depth[a]
+    # -- structural checks ----------------------------------------------
 
     def check_ports(self, orders=None) -> list[str]:
         """Port-map faults: at every node of ``orders`` (node -> its

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import bits
+from .budgets import (interval_label_budget, marker_message_budget,
+                      routing_label_budget, separator_label_budget)
 from .functions import ROUTE_SELF
 
 
@@ -39,12 +41,8 @@ class StaticScheme:
     encode_label: Callable    # label -> bit string
     decode_label: Callable    # (bits, pos) -> (label, pos)
     label_bits: Callable      # label -> exact bit count
-    ls_budget: Callable       # n -> bit budget
+    ls_budget: Callable       # (n, port bits) -> bit budget
     mc_budget: Callable       # n -> message budget
-
-    def unique_labels(self, labels) -> bool:
-        vals = list(labels.values())
-        return len(vals) == len(set(vals))
 
 
 def _charge_traversal(net, root, members):
@@ -361,41 +359,23 @@ def _rt_bits(lab):
 # -- registry ----------------------------------------------------------------
 
 
-def _log2c(n):
-    return max(1, (max(n, 2) - 1).bit_length())
-
-
-def _ls_interval(n):
-    return 4 * _log2c(n) + 6
-
-
-def _ls_separator(n):
-    lg = _log2c(n)
-    return 4 * lg * (lg + 2) + 4 * lg + 8
-
-
-def _ls_routing(n, port_cap_bits=21):
-    lg = _log2c(n)
-    return 2 * lg * (lg + port_cap_bits) + 6 * lg + 4 * port_cap_bits + 12
-
-
-def _mc_linear(n):
-    return 2 * n
-
-
 SCHEMES = {
     "ancestry": StaticScheme(
         "ancestry", dfs_interval_marker, dfs_interval_decode,
-        _iv_encode, _iv_decode, _iv_bits, _ls_interval, _mc_linear),
+        _iv_encode, _iv_decode, _iv_bits, interval_label_budget,
+        marker_message_budget),
     "distance": StaticScheme(
         "distance", separator_marker, separator_distance_decode,
-        _sep_encode, _sep_decode, _sep_bits, _ls_separator, _mc_linear),
+        _sep_encode, _sep_decode, _sep_bits, separator_label_budget,
+        marker_message_budget),
     "seplevel": StaticScheme(
         "seplevel", separator_marker, separator_seplevel_decode,
-        _sep_encode, _sep_decode, _sep_bits, _ls_separator, _mc_linear),
+        _sep_encode, _sep_decode, _sep_bits, separator_label_budget,
+        marker_message_budget),
     "routing": StaticScheme(
         "routing", routing_marker, routing_decode,
-        _rt_encode, _rt_decode, _rt_bits, _ls_routing, _mc_linear),
+        _rt_encode, _rt_decode, _rt_bits, routing_label_budget,
+        marker_message_budget),
 }
 
 

@@ -24,12 +24,10 @@ SCHEME_FIELDS = ("top_scope", "ever_share", "ever_count")
 
 
 def _run(seed):
-    port_model = "designer" if seed % 2 == 0 else "adversary"
-    assignment = (PortAssignment.COMPACT if port_model == "designer"
+    assignment = (PortAssignment.COMPACT if seed % 2 == 0
                   else PortAssignment.ADVERSARY)
     net = Network(assignment=assignment, rng=random.Random(seed * 31 + 7))
-    scheme = DynamicScheme(net, "distance", QuotaFunction.parse("pow:0.5"),
-                           port_model=port_model)
+    scheme = DynamicScheme(net, "distance", QuotaFunction.parse("pow:0.5"))
     for ev in generate_scenario(seed, EVENTS, 0.3):
         scheme.apply(ev)
     return net, scheme

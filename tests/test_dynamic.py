@@ -4,10 +4,11 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+import dynlabel
 from dynlabel import (DynamicScheme, ExactChangeTracker, IncreasingScheme,
                       Network, QuotaFunction, compute_phase_params,
                       get_function, scheme_for)
-from dynlabel.harness import build_network, RunConfig
+from dynlabel.harness import build_network, RunConfig, run
 from dynlabel.simnet import InvalidEvent
 
 from _util import grow_random
@@ -257,8 +258,7 @@ def test_dead_nodes_never_addressed():
         config = RunConfig(seed=7, model="dynamic", port_model=ports,
                            function="distance", p_delete=0.4, events=1)
         net = build_network(config)
-        s = DynamicScheme(net, "distance", QuotaFunction.parse("pow:0.5"),
-                          port_model=ports)
+        s = DynamicScheme(net, "distance", QuotaFunction.parse("pow:0.5"))
         for _ in range(250):
             leaves = [v for v in net.alive_nodes()
                       if v != 0 and net.is_leaf(v)]
@@ -303,3 +303,36 @@ def test_queries_survive_restarts_and_deletions():
             u = nodes[rng.randrange(len(nodes))]
             v = nodes[rng.randrange(len(nodes))]
             assert s.query(u, v) == fn.oracle(net, u, v)
+
+
+def test_driver_seam_wraps_each_model_once_per_event(monkeypatch):
+    """Wrapping ``apply`` on each model's class, and ``_restart`` on the
+    leaf-dynamic one, must see every event and restart exactly once: the
+    two models are distinct classes, neither inherits from the other,
+    and neither defines the wrapped methods itself."""
+    assert IncreasingScheme is not DynamicScheme
+    assert not issubclass(DynamicScheme, IncreasingScheme)
+    assert not issubclass(IncreasingScheme, DynamicScheme)
+    for cls in (IncreasingScheme, DynamicScheme):
+        assert "apply" not in vars(cls) and "_restart" not in vars(cls)
+    applied, restarted = [], []
+    for cls in (IncreasingScheme, DynamicScheme):
+        def apply(runner, event, _apply=cls.apply):
+            applied.append(event)
+            return _apply(runner, event)
+        monkeypatch.setattr(cls, "apply", apply)
+
+    def restart(runner, _restart=DynamicScheme._restart):
+        restarted.append(runner.event_index)
+        return _restart(runner)
+    monkeypatch.setattr(DynamicScheme, "_restart", restart)
+    for model, p_delete in (("increasing", 0.0), ("dynamic", 0.3)):
+        applied.clear()
+        restarted.clear()
+        r = run(RunConfig(seed=4, events=120, model=model,
+                          p_delete=p_delete))
+        assert r.passed() and len(applied) == r.events_applied == 120
+        assert restarted == [i for i, _ in r.restarts]
+    assert restarted
+    for name in dynlabel.__all__:
+        assert getattr(dynlabel, name) is not None

@@ -169,14 +169,6 @@ def test_thousand_random_values_round_trip_bit_exactly():
         assert rt.decode(rt.encode(value)) == (value, rt.encoded_len(value))
 
 
-def test_generic_fallback_encoding_bounded_by_two_labels():
-    from dynlabel.functions import decode_generic, encode_generic
-    a, b = "10110", "001"
-    enc = encode_generic(a, b)
-    assert decode_generic(enc) == ((a, b), len(enc))
-    assert len(enc) <= 2 * max(len(a), len(b)) + 12
-
-
 def test_unknown_function_rejected():
     from dynlabel.functions import FunctionError
     with pytest.raises(FunctionError):

@@ -1,10 +1,15 @@
 import dataclasses
+import json
 
 import pytest
 
 from dynlabel import Network, RunConfig, generate_scenario, run
+from dynlabel.bits import BitsError
 from dynlabel.cli import main as cli_main
-from dynlabel.simnet import format_scenario
+from dynlabel.memory import MemoryError_
+from dynlabel.scheme_core import SchemeCore, SchemeError
+from dynlabel.simnet import DeadNeighborError, format_scenario
+from dynlabel.static_schemes import DecodeError
 import dynlabel.static_schemes as static_schemes
 
 
@@ -192,3 +197,69 @@ def test_run_with_port_cap_zero_reports_the_rejected_add():
         signal.signal(signal.SIGALRM, old)
     assert r.events_applied == 1
     assert len(r.errors) == 1 and "no free port" in r.errors[0]
+
+
+def test_routing_label_budget_follows_a_wide_port_cap():
+    """Routing labels carry adversary ports; under a cap of 2**62 each
+    takes 63 bits, so the label budget of a correct run must too."""
+    r = run(RunConfig(seed=1, events=300, port_model="adversary",
+                      function="routing", port_cap=2 ** 62, verify="off"))
+    assert r.max_label_bits > 1720
+    assert r.bound_violations == [] and r.passed()
+
+
+def test_exhaustive_cap_ends_the_run_with_a_report(capsys):
+    code = cli_main(["run", "--seed", "1", "--events", "200",
+                     "--verify", "exhaustive", "--invariants", "off"])
+    assert code == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["errors"] == ["event 128: ExhaustiveCapError: exhaustive "
+                              "verification is capped at 128 nodes"]
+    assert data["events_applied"] == 128
+
+
+@pytest.mark.parametrize("attr, rows, exc", [
+    ("apply_add", 4, SchemeError),
+    ("apply_add", 4, MemoryError_),
+    ("apply_add", 4, DeadNeighborError),
+    ("label", 5, DecodeError),
+    ("label", 5, BitsError),
+    ("scan_invariants", 5, SchemeError),
+])
+def test_scheme_failures_become_report_errors(monkeypatch, attr, rows, exc):
+    """A scheme failure at the fifth event, in the event itself
+    (``apply_add``), its oracle check (``label``, once the event's row is
+    logged) or its scan, is recorded with the event index and stops the
+    run."""
+    real = getattr(SchemeCore, attr)
+
+    def failing(core, *args):
+        if len(core.net.ledger.per_event_rows) == rows:
+            raise exc("broken on purpose")
+        return real(core, *args)
+    monkeypatch.setattr(SchemeCore, attr, failing)
+    r = run(RunConfig(seed=2, events=20, invariants="every-event"))
+    assert r.errors == [f"event 5: {exc.__name__}: broken on purpose"]
+    assert r.events_applied == rows and not r.passed()
+
+
+def test_cli_rejects_a_bad_quota_rule(capsys):
+    for rule in ("bogus", "pow", "pow:x", "cube:2"):
+        with pytest.raises(SystemExit) as stop:
+            cli_main(["run", "--kfn", rule])
+        assert stop.value.code == 2
+        assert "argument --kfn" in capsys.readouterr().err
+
+
+def test_cli_names_the_bad_scenario_line(tmp_path):
+    scen = tmp_path / "bad.txt"
+    scen.write_text("A 0\nA x\n")
+    with pytest.raises(ValueError, match="line 2: bad scenario line 'A x'"):
+        cli_main(["run", "--scenario", str(scen)])
+
+
+def test_cli_turns_a_rejected_config_into_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as stop:
+        cli_main(["run", "--pdelete", "0.3"])
+    assert stop.value.code == 2
+    assert "forbids deletions" in capsys.readouterr().err

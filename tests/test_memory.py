@@ -64,8 +64,7 @@ def test_designer_scoped_ports_are_the_watermark_prefix():
 
 def test_adversary_add_beyond_count_targets_next_slot():
     net = Network(assignment=PortAssignment.ADVERSARY, rng=random.Random(3))
-    s = FiniteScheme(net, "distance", quota=9, levels=2,
-                     bookkeeping="adversary")
+    s = FiniteScheme(net, "distance", quota=9, levels=2)
     a = s.add_leaf(0)
     core = s.core
     # the level-1 scope was reset when `a` joined, so the count is back to 0
@@ -82,8 +81,7 @@ def test_adversary_add_beyond_count_targets_next_slot():
 
 def test_adversary_tables_match_ground_truth_during_growth():
     net = Network(assignment=PortAssignment.ADVERSARY, rng=random.Random(9))
-    s = FiniteScheme(net, "seplevel", quota=3, levels=3,
-                     bookkeeping="adversary", verify_scopes=True)
+    s = FiniteScheme(net, "seplevel", quota=3, levels=3, verify_scopes=True)
     rng = random.Random(10)
     while not s.finished and s.joins < 26:
         pool = net.alive_list
@@ -95,7 +93,7 @@ def test_adversary_dynamic_sweep_keeps_all_invariants():
     rng = random.Random(21)
     net = Network(assignment=PortAssignment.ADVERSARY, rng=random.Random(22))
     s = DynamicScheme(net, "distance", QuotaFunction.parse("pow:0.5"),
-                      port_model="adversary", verify_scopes=True)
+                      verify_scopes=True)
     for _ in range(400):
         leaves = [v for v in net.alive_nodes() if v != 0 and net.is_leaf(v)]
         if leaves and rng.random() < 0.35:
@@ -122,9 +120,8 @@ def test_deletion_case_only_count_drops():
     # prefix, so each child's table names its own port
     net = Network(assignment=PortAssignment.ADVERSARY,
                   rng=ScriptedPorts([10, 1, 20, 1, 30, 1]))
-    core = SchemeCore(net, "distance", quota=50, levels=3,
-                      bookkeeping="adversary", dynamic_mode=True,
-                      count_ever=True, verify_scopes=True)
+    core = SchemeCore(net, "distance", quota=50, levels=3, deletions=True,
+                      verify_scopes=True)
     core.install_fresh()
     u1 = core.apply_add(0)
     u2 = core.apply_add(0)
@@ -145,8 +142,7 @@ def test_deletion_case_only_count_drops():
 
 def test_scope_collection_charges_two_per_consulted_child():
     net = Network(assignment=PortAssignment.ADVERSARY, rng=random.Random(6))
-    s = FiniteScheme(net, "distance", quota=9, levels=2,
-                     bookkeeping="adversary")
+    s = FiniteScheme(net, "distance", quota=9, levels=2)
     for _ in range(5):
         s.add_leaf(0)
     core = s.core
@@ -167,8 +163,7 @@ def test_designer_and_adversary_agree_on_scope_membership():
                                   if port_model == "designer"
                                   else PortAssignment.ADVERSARY),
                       rng=random.Random(50))
-        s = DynamicScheme(net, "distance", QuotaFunction.parse("const:4"),
-                          port_model=port_model)
+        s = DynamicScheme(net, "distance", QuotaFunction.parse("const:4"))
         rng2 = random.Random(60)
         snapshots = []
         for _ in range(140):
@@ -279,8 +274,7 @@ def test_adversary_memory_scales_with_port_cap():
         rng = random.Random(91)
         net = Network(assignment=PortAssignment.ADVERSARY,
                       rng=random.Random(92), port_cap=cap)
-        s = IncreasingScheme(net, "distance", QuotaFunction.parse("pow:0.5"),
-                             port_model="adversary")
+        s = IncreasingScheme(net, "distance", QuotaFunction.parse("pow:0.5"))
         grow_random(s, net, rng, 300)
         return net.ledger.max_memory_bits, net.alive_count, s.levels
 

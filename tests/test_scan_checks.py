@@ -24,8 +24,7 @@ def _grown(port_model, seed=3, events=150, model=DynamicScheme):
     assignment = (PortAssignment.COMPACT if port_model == "designer"
                   else PortAssignment.ADVERSARY)
     net = Network(assignment=assignment, rng=random.Random(seed + 100))
-    s = model(net, "distance", QuotaFunction.parse("pow:0.5"),
-              port_model=port_model)
+    s = model(net, "distance", QuotaFunction.parse("pow:0.5"))
     p_delete = 0.3 if model is DynamicScheme else 0.0
     rng = random.Random(seed)
     for _ in range(events):
@@ -88,6 +87,16 @@ def test_designer_watermark_fires():
     v = next(v for v in net.alive_nodes() if net.children[v])
     core.states[v].watermark[1] += 1
     _fires(core, f"designer watermark at node {v} level 1")
+
+
+def test_negative_designer_watermark_fires():
+    """A leaf has no scoped child, so a watermark below 0 names the same
+    empty port set as 0 and only the sign check can see it."""
+    net, core = _grown("designer")
+    leaf = next(v for v in net.alive_nodes() if net.is_leaf(v))
+    core.states[leaf].watermark[1] = -2
+    assert core.scan_invariants() == [
+        f"designer watermark at node {leaf} level 1: -2 < 0"]
 
 
 def test_adversary_count_fires():
@@ -214,8 +223,7 @@ def test_scan_sorts_each_node_at_most_once_on_a_star(port_model, monkeypatch):
     assignment = (PortAssignment.COMPACT if port_model == "designer"
                   else PortAssignment.ADVERSARY)
     net = Network(assignment=assignment, rng=random.Random(5))
-    s = DynamicScheme(net, "distance", QuotaFunction.parse("pow:0.5"),
-                      port_model=port_model)
+    s = DynamicScheme(net, "distance", QuotaFunction.parse("pow:0.5"))
     for _ in range(300):
         s.add_leaf(0)
     sorts = _count_sorts(monkeypatch)

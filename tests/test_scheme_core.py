@@ -222,7 +222,7 @@ def test_random_growth_queries_match_oracle(name):
     rng = random.Random(61)
     if name == "routing":
         net = Network(assignment=PortAssignment.STABLE)
-        s = FiniteScheme(net, name, quota=3, levels=3, bookkeeping="adversary")
+        s = FiniteScheme(net, name, quota=3, levels=3)
     else:
         net = Network()
         s = FiniteScheme(net, name, quota=3, levels=3)

@@ -81,7 +81,7 @@ def test_send_one_hop_counts_one():
     net = Network()
     net.add_leaf(0)
     before = net.ledger.messages_total
-    net.send(0, net.port_to[0][1], payload="x")
+    net.send(0, net.port_to[0][1])
     assert net.ledger.messages_total == before + 1
 
 
@@ -100,7 +100,7 @@ def test_manual_broadcast_costs_edge_count():
     while stack:
         v = stack.pop()
         for c in net.children_by_port(v):
-            net.send(v, net.port_to[v][c], payload="go")
+            net.send(v, net.port_to[v][c])
             stack.append(c)
     assert net.ledger.messages_total - before == net.alive_count - 1
 
@@ -114,15 +114,6 @@ def test_send_to_dead_neighbor_raises_and_counts():
     with pytest.raises(DeadNeighborError):
         net.send(0, port)
     assert net.ledger.messages_to_dead == 1
-
-
-def test_send_handler_receives_payload():
-    net = Network()
-    c = net.add_leaf(0)
-    got = []
-    net.set_handler(c, lambda frm_port, payload: got.append((frm_port, payload)))
-    net.send(0, net.port_to[0][c], payload="hello")
-    assert got == [(net.port_to[c][0], "hello")]
 
 
 def test_broadcast_convergecast_singleton():
