@@ -15,7 +15,7 @@ import sys
 
 from .dynamic import QuotaFunction
 from .harness import RunConfig, generate_scenario, run
-from .simnet import DEFAULT_PORT_CAP, format_scenario
+from .simnet import DEFAULT_PORT_CAP, format_scenario, parse_scenario
 
 
 def _quota_rule(text: str) -> str:
@@ -24,6 +24,15 @@ def _quota_rule(text: str) -> str:
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     return text
+
+
+def _scenario_file(path: str) -> str:
+    try:
+        with open(path) as fh:
+            parse_scenario(fh.read())
+    except (OSError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return path
 
 
 def _build_parser():
@@ -42,7 +51,8 @@ def _build_parser():
                    choices=["ancestry", "distance", "seplevel", "routing"],
                    default="distance")
     p.add_argument("--kfn", type=_quota_rule, default="pow:0.5",
-                   help="quota rule: pow:E | logpow:E | const:K")
+                   help="quota rule: pow:E (E in [0, 1]) | logpow:E "
+                        "(E in [0, 16]) | const:K")
     p.add_argument("--watch", default="exact",
                    help="change tracker driving restarts")
     p.add_argument("--verify", default="sampled:64",
@@ -52,7 +62,8 @@ def _build_parser():
     p.add_argument("--no-bounds", action="store_true",
                    help="skip budget-curve checks")
     p.add_argument("--port-cap", type=int, default=DEFAULT_PORT_CAP)
-    p.add_argument("--scenario", help="replay this scenario file")
+    p.add_argument("--scenario", type=_scenario_file,
+                   help="replay this scenario file")
     p.add_argument("--out", help="write the per-event metrics CSV here")
     p.add_argument("--mem-out", help="write the final memory report CSV here")
 

@@ -16,6 +16,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .scheme_core import SchemeCore
@@ -33,12 +34,23 @@ class QuotaFunction:
     """Growth rule n -> quota, clamped to at least 2.
 
     Kinds: ``pow:e`` is n**e, ``logpow:e`` is (log2 n)**e, ``const:k``
-    is the constant k.
+    is the constant k.  Parameters must be finite, and exponents lie in
+    ``EXPONENTS[kind]`` so that the value never overflows a float: pow
+    keeps the paper's k(n) <= n.
     """
+
+    EXPONENTS = {"pow": (0, 1), "logpow": (0, 16)}
 
     def __init__(self, kind: str, param: float):
         if kind not in ("pow", "logpow", "const"):
             raise ValueError(f"unknown quota function kind {kind!r}")
+        if not math.isfinite(param):
+            raise ValueError(f"quota function parameter must be finite: "
+                             f"{param}")
+        lo, hi = self.EXPONENTS.get(kind, (-math.inf, math.inf))
+        if not lo <= param <= hi:
+            raise ValueError(f"{kind} exponent must lie in [{lo}, {hi}]: "
+                             f"{param}")
         self.kind = kind
         self.param = param
 
@@ -235,7 +247,7 @@ class PhasedScheme(_CoreDriver):
         if not self.deletions:
             raise InvalidEvent("the leaf-increasing model has no deletions")
         self.event_index += 1
-        parent = self.net.parent[leaf]
+        parent = self.net.parent.get(leaf)   # unknown ids fail in the network
         self.core.apply_remove(leaf)
         self.net.charge_path(parent, self.net.root, "watch")
         if self.tracker.on_change("R"):

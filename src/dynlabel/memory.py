@@ -42,20 +42,14 @@ def _slot_list_bits(xs) -> int:
 # -- sibling order helpers ---------------------------------------------------
 
 
-def sibling_order(net, v):
-    return net.children_by_port(v)
+def next_sibling(net, v, u):
+    order = net.children[v]
+    return order[(order.index(u) + 1) % len(order)]
 
 
-def next_sibling(net, v, u, order=None):
-    order = order if order is not None else sibling_order(net, v)
-    i = order.index(u)
-    return order[(i + 1) % len(order)]
-
-
-def prev_sibling(net, v, u, order=None):
-    order = order if order is not None else sibling_order(net, v)
-    i = order.index(u)
-    return order[(i - 1) % len(order)]
+def prev_sibling(net, v, u):
+    order = net.children[v]
+    return order[order.index(u) - 1]
 
 
 # -- port bookkeeping --------------------------------------------------------
@@ -88,12 +82,7 @@ class DesignerBookkeeping:
         zero every watermark."""
         net = self.engine.net
         for v in members:
-            mapping = dict(enumerate(
-                sorted(net.children[v], key=net.port_to[v].__getitem__), 1))
-            p = net.parent[v]
-            if p is not None:
-                mapping[net.degree(v)] = p
-            net.renumber_ports(v, mapping)
+            net.normalize_ports(v)
             st = self.engine.states[v]
             for l in range(1, self.engine.levels):
                 st.watermark[l] = 0
@@ -106,9 +95,6 @@ class DesignerBookkeeping:
             if st.watermark[l] >= q:
                 st.watermark[l] -= 1
         self.engine.mark_memory_dirty([parent])
-
-    def scoped_ports(self, v, level):
-        return set(range(1, self.engine.states[v].watermark[level] + 1))
 
     def children_in_scope(self, v, level):
         net = self.engine.net
@@ -123,17 +109,18 @@ class DesignerBookkeeping:
             n += int_bits(self.engine.net.port_to[v][p])
         return n
 
-    def check(self, orders, flag) -> list[str]:
+    def check(self, flag) -> list[str]:
         """Watermarks against the ground scopes at every node of
-        ``orders`` (node -> children in port order); ``flag`` maps nodes
-        to their scope flag (``top_scope`` clamped to 0..levels), and a
-        child is inside its parent's level-l scope when its flag is
-        below l."""
+        ``flag``, which maps nodes to their scope flag (``top_scope``
+        clamped to 0..levels); a child is inside its parent's level-l
+        scope when its flag is below l."""
         engine = self.engine
         levels = engine.levels
         states, port_to = engine.states, engine.net.port_to
+        children = engine.net.children
         out = []
-        for v, order in orders.items():
+        for v in flag:
+            order = children[v]
             watermark = states[v].watermark
             if not order and not any(watermark[1:levels]):
                 continue
@@ -166,7 +153,7 @@ class AdversaryBookkeeping:
     def on_leaf_added(self, parent, child):
         net = self.engine.net
         states = self.engine.states
-        order = sibling_order(net, parent)
+        order = net.children[parent]
         j = order.index(child) + 1
         port_u = net.port_to[parent][child]
         vst = states[parent]
@@ -200,7 +187,7 @@ class AdversaryBookkeeping:
         touched = set()
         for v in members:
             vst = states[v]
-            order = sibling_order(net, v)
+            order = net.children[v]
             for l in range(1, level):
                 for i in range(vst.scoped_count[l]):
                     states[order[i]].slot_table[l] = None
@@ -225,7 +212,7 @@ class AdversaryBookkeeping:
         net = self.engine.net
         states = self.engine.states
         vst = states[parent]
-        order_pre = sibling_order(net, parent)
+        order_pre = net.children[parent]
         order_post = [w for w in order_pre if w != child]
         j = order_pre.index(child) + 1
         pt = net.port_to[parent]
@@ -270,7 +257,7 @@ class AdversaryBookkeeping:
     def scoped_ports(self, v, level):
         net = self.engine.net
         states = self.engine.states
-        order = sibling_order(net, v)
+        order = net.children[v]
         c = self.engine.states[v].scoped_count[level]
         net.ledger.count("membook", 2 * c)
         return {states[order[i]].slot_table[level] for i in range(c)}
@@ -292,18 +279,19 @@ class AdversaryBookkeeping:
             n += int_bits(self.engine.net.port_to[v][p])
         return n
 
-    def check(self, orders, flag) -> list[str]:
+    def check(self, flag) -> list[str]:
         """Counts, tables and back-references against the ground scopes
-        at every node of ``orders`` (node -> children in port order);
-        ``flag`` maps nodes to their scope flag (``top_scope`` clamped
-        to 0..levels), and a child is inside its parent's level-l scope
-        when its flag is below l."""
+        at every node of ``flag``, which maps nodes to their scope flag
+        (``top_scope`` clamped to 0..levels); a child is inside its
+        parent's level-l scope when its flag is below l."""
         engine = self.engine
         levels = engine.levels
         states, net = engine.states, engine.net
+        children = net.children
         backrefs = engine.deletions
         out = []
-        for v, order in orders.items():
+        for v in flag:
+            order = children[v]
             scoped_count = states[v].scoped_count
             if not order and not any(scoped_count[1:levels]):
                 continue
@@ -370,8 +358,8 @@ class BackupStore:
         if held is not None:
             held.pop(subject, None)
 
-    def _erase_subject_everywhere(self, subject, parent, order):
-        for holder in (parent, *order):
+    def _erase_subject_everywhere(self, subject, parent):
+        for holder in (parent, *self.engine.net.children[parent]):
             self._erase(holder, subject)
 
     def _place(self, holder, subject):
@@ -387,26 +375,26 @@ class BackupStore:
         v = net.parent[subject]
         if v is None:
             return
-        order = sibling_order(net, v)
-        holder = v if len(order) == 1 else next_sibling(net, v, subject, order)
+        order = net.children[v]
+        holder = v if len(order) == 1 else next_sibling(net, v, subject)
         for s in list(self.copies.get(holder, ())):
             if s in order and s != subject:
                 self._erase(holder, s)
-        self._erase_subject_everywhere(subject, v, order)
+        self._erase_subject_everywhere(subject, v)
         self._place(holder, subject)
 
     def on_leaf_added(self, parent, child):
         net = self.engine.net
-        order = sibling_order(net, parent)
+        order = net.children[parent]
         if len(order) == 1:
             self._place(parent, child)
         else:
-            nxt = next_sibling(net, parent, child, order)
+            nxt = next_sibling(net, parent, child)
             for s in list(self.copies.get(nxt, ())):
                 if s in order and s != child:
                     self._erase(nxt, s)
             self._place(nxt, child)
-            self._place(child, prev_sibling(net, parent, child, order))
+            self._place(child, prev_sibling(net, parent, child))
 
     def read_copy(self, parent, child) -> dict:
         """Fetch the copy of a child's memory; charged if held by a sibling."""
@@ -424,40 +412,37 @@ class BackupStore:
     def on_child_removed(self, parent, child):
         """Re-home copies after the deletion of one child."""
         net = self.engine.net
-        order_pre = sibling_order(net, parent)
+        order_pre = net.children[parent]
         order_post = [w for w in order_pre if w != child]
         if len(order_post) == 1:
             w = order_post[0]
             for s in list(self.copies.get(parent, ())):
                 if s in order_pre and s != w:
                     self._erase(parent, s)
-            self._erase_subject_everywhere(w, parent, order_pre)
+            self._erase_subject_everywhere(w, parent)
             self._place(parent, w)
         elif len(order_post) > 1:
-            nxt = next_sibling(net, parent, child, order_pre)
-            pre = prev_sibling(net, parent, child, order_pre)
+            nxt = next_sibling(net, parent, child)
+            pre = prev_sibling(net, parent, child)
             self._erase(nxt, child)
-            self._erase_subject_everywhere(pre, parent, order_pre)
+            self._erase_subject_everywhere(pre, parent)
             self._place(nxt, pre)
-        self._erase_subject_everywhere(child, parent, order_pre)
+        self._erase_subject_everywhere(child, parent)
         self.copies.pop(child, None)
 
     def held_bits(self, holder) -> int:
         return sum(snapshot_bits(s) for s in self.copies.get(holder, {}).values())
 
-    def check(self, orders=None) -> list[str]:
-        """``orders`` maps nodes to their children in port order; nodes
-        it leaves out are sorted here."""
+    def check(self) -> list[str]:
         out = []
         net = self.engine.net
         children = net.children
         copies = self.copies
         none = {}
-        orders = orders or {}
         for v in net.alive_list:
-            if not children[v]:
+            order = children[v]
+            if not order:
                 continue
-            order = orders.get(v) or sibling_order(net, v)
             here = copies.get(v, none)
             # each child's copy sits at v or at its next sibling in
             # cyclic port order

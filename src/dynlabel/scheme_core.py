@@ -414,27 +414,24 @@ class SchemeCore:
     def scan_invariants(self) -> list[str]:
         """Check the structural invariants in one walk from the root.
 
-        The walk sorts each reachable node's children by port at most
-        once and reads every node's scope flag: its ``top_scope``
-        clamped to 0..levels, with the root anchoring every level.  The
-        port, ever-share, bookkeeping and backup checks all work from
-        those orders and flags.
+        The walk reads every reachable node's scope flag: its
+        ``top_scope`` clamped to 0..levels, with the root anchoring
+        every level.  The port, ever-share, bookkeeping and backup
+        checks work from those flags and from the children lists, which
+        the network keeps in port order.
         """
         net = self.net
         root = net.root
         levels = self.levels
         states = self.states
         children = net.children
-        orders = {}              # reachable node -> children in port order
-        flag = {root: levels}
+        flag = {root: levels}    # reachable node -> its scope flag
         closure = []
         stack = [root]
         while stack:
             v = stack.pop()
             kids = children[v]
             if kids:
-                if len(kids) > 1:         # an only child needs no sort
-                    kids = net.children_by_port(v)
                 tv = flag[v]
                 for c in kids:
                     t = states[c].top_scope
@@ -447,8 +444,7 @@ class SchemeCore:
                                        f"{v}->{c} level {l}"
                                        for l in range(tv + 1, t + 1))
                 stack.extend(kids)
-            orders[v] = kids
-        out = net.check_tree_shape(orders) + net.check_ports(orders)
+        out = net.check_tree_shape(flag) + net.check_ports(flag)
         if self.finished:
             # terminal state: the final whole-tree reset has cleared the
             # per-level bookkeeping and nothing re-seeds the scopes
@@ -457,9 +453,9 @@ class SchemeCore:
             out.append("root is not a top-level scope root")
         out.extend(self._ever_share_faults(flag))
         out.extend(closure)
-        out.extend(self.bookkeeping.check(orders, flag))
+        out.extend(self.bookkeeping.check(flag))
         if self.backups is not None:
-            out.extend(self.backups.check(orders))
+            out.extend(self.backups.check())
         out.extend(self.violations)
         return out
 

@@ -20,11 +20,13 @@ static scheme embeds port numbers in labels:
 
 from __future__ import annotations
 
+import bisect
 import csv
 import random
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, repeat
+from operator import ge
 
 
 class SimulationError(RuntimeError):
@@ -143,7 +145,7 @@ class Network:
         self.root = 0
         self.next_id = 1
         self.parent = {0: None}
-        self.children = {0: []}          # alive children, creation order
+        self.children = {0: []}          # alive children, port order
         self.depth = {0: 0}
         self.alive = {0: True}
         self.alive_count = 1
@@ -175,12 +177,8 @@ class Network:
         return list(self.alive_list)
 
     def children_by_port(self, v) -> list:
-        """v's alive children ordered by current port number."""
-        pt = self.port_to[v]
-        return sorted(self.children[v], key=pt.__getitem__)
-
-    def degree(self, v) -> int:
-        return len(self.ports[v])
+        """v's alive children in port order: the stored list, not a copy."""
+        return self.children[v]
 
     # -- topological events ---------------------------------------------
 
@@ -192,7 +190,6 @@ class Network:
         self._assign_ports(parent, child)
         self.next_id += 1
         self.parent[child] = parent
-        self.children[parent].append(child)
         self.children[child] = []
         self.depth[child] = self.depth[parent] + 1
         self.alive[child] = True
@@ -230,26 +227,24 @@ class Network:
             self._alive_pos[last] = i
 
     def _assign_ports(self, parent, child):
+        """Number the new edge at both ends (q at the parent, r at the
+        child) and place the child in the parent's port-ordered list:
+        first for compact ports, last for stable ones."""
         if self.assignment is PortAssignment.COMPACT:
             self.ports[parent] = {p + 1: w for p, w in self.ports[parent].items()}
             self.port_to[parent] = {w: p + 1 for w, p in self.port_to[parent].items()}
-            self.ports[parent][1] = child
-            self.port_to[parent][child] = 1
-            self.ports[child] = {1: parent}
-            self.port_to[child] = {parent: 1}
+            q = r = 1
         elif self.assignment is PortAssignment.STABLE:
-            q = max(self.ports[parent], default=0) + 1
-            self.ports[parent][q] = child
-            self.port_to[parent][child] = q
-            self.ports[child] = {0: parent}
-            self.port_to[child] = {parent: 0}
+            q, r = max(self.ports[parent], default=0) + 1, 0
         else:
             q = self._adversary_port(parent)
-            self.ports[parent][q] = child
-            self.port_to[parent][child] = q
             r = self._adversary_port(child, fresh=True)
-            self.ports[child] = {r: parent}
-            self.port_to[child] = {parent: r}
+        self.ports[parent][q] = child
+        self.port_to[parent][child] = q
+        self.ports[child] = {r: parent}
+        self.port_to[child] = {parent: r}
+        bisect.insort(self.children[parent], child,
+                      key=self.port_to[parent].__getitem__)
 
     def _adversary_port(self, node, fresh=False):
         used = () if fresh else self.ports[node]
@@ -269,14 +264,14 @@ class Network:
             self.ports[parent][p - 1] = w
             self.port_to[parent][w] = p - 1
 
-    def renumber_ports(self, v, mapping) -> None:
-        """Install a full designer port map {port: neighbor} at v."""
-        if len(set(mapping)) != len(mapping):
-            raise SimulationError("duplicate port numbers in renumbering")
-        if set(mapping.values()) != set(self.ports[v].values()):
-            raise SimulationError("renumbering must cover exactly current neighbors")
-        self.ports[v] = dict(mapping)
-        self.port_to[v] = {w: p for p, w in mapping.items()}
+    def normalize_ports(self, v) -> None:
+        """Designer renumbering of a compact node: its children already
+        hold 1..k, so only the port to its parent moves, to k+1."""
+        p, k = self.parent[v], len(self.children[v])
+        if p is not None:
+            del self.ports[v][self.port_to[v][p]]
+            self.ports[v][k + 1] = p
+            self.port_to[v][p] = k + 1
 
     # -- messaging ------------------------------------------------------
 
@@ -331,15 +326,16 @@ class Network:
 
     # -- structural checks ----------------------------------------------
 
-    def check_ports(self, orders=None) -> list[str]:
-        """Port-map faults: at every node of ``orders`` (node -> its
-        children in port order; all alive nodes when omitted) ``ports``
-        and ``port_to`` must be inverse maps, compact children must hold
-        ports 1..#children and adversary ports must lie in 0..port_cap."""
-        if orders is None:
-            orders = {v: self.children_by_port(v) for v in self.alive_list}
-        pvs = list(map(self.ports.__getitem__, orders))
-        pts = list(map(self.port_to.__getitem__, orders))
+    def check_ports(self, nodes=None) -> list[str]:
+        """Port-map faults at every node of ``nodes`` (all alive nodes
+        when omitted): ``ports`` and ``port_to`` must be inverse maps and
+        children must be listed in port order; compact children must
+        hold ports 1..#children and adversary ports must lie in
+        0..port_cap."""
+        if nodes is None:
+            nodes = self.alive_list
+        pvs = list(map(self.ports.__getitem__, nodes))
+        pts = list(map(self.port_to.__getitem__, nodes))
         bad = []
         # inverse maps: equal sizes and ports[v][port_to[v][w]] == w for
         # every entry, tested over all nodes at once
@@ -348,25 +344,32 @@ class Network:
                    chain.from_iterable(map(dict.values, pts)))
         if (list(map(len, pvs)) != sizes
                 or list(back) != list(chain.from_iterable(pts))):
-            for v, pv, pt in zip(orders, pvs, pts):
+            for v, pv, pt in zip(nodes, pvs, pts):
                 if len(pv) != len(pt) or any(pv.get(q) != w
                                              for w, q in pt.items()):
                     bad.append(f"node {v}: ports {sorted(pv.items())} and "
                                f"port_to {sorted(pt.items())} are not "
                                f"inverse")
-        if self.assignment is PortAssignment.COMPACT:
-            for (v, kids), pt in zip(orders.items(), pts):
+        compact = self.assignment is PortAssignment.COMPACT
+        for v, pt in zip(nodes, pts):
+            kids = self.children[v]
+            if compact:
                 if not kids:
                     continue
                 got = [pt[c] for c in kids]
                 if got != list(range(1, len(kids) + 1)):
                     bad.append(f"node {v}: compact child ports {got} "
                                f"are not 1..{len(kids)}")
-        elif self.assignment is PortAssignment.ADVERSARY:
+            elif len(kids) > 1:
+                got = list(map(pt.__getitem__, kids))
+                if any(map(ge, got, got[1:])):
+                    bad.append(f"node {v}: child ports {got} are not in "
+                               f"port order")
+        if self.assignment is PortAssignment.ADVERSARY:
             cap = self.port_cap
             used = list(chain.from_iterable(pvs))
             if used and (min(used) < 0 or max(used) > cap):
-                for v, pv in zip(orders, pvs):
+                for v, pv in zip(nodes, pvs):
                     if pv and (min(pv) < 0 or max(pv) > cap):
                         bad.append(f"node {v}: adversary ports {sorted(pv)} "
                                    f"exceed 0..{cap}")

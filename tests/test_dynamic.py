@@ -43,6 +43,15 @@ def test_quota_function_clamped_and_nondecreasing():
         assert values == sorted(values)
 
 
+def test_quota_function_accepts_the_ends_of_its_ranges():
+    for rule in ("pow:0", "pow:1", "logpow:0", "logpow:16", "const:-3"):
+        qf = QuotaFunction.parse(rule)
+        assert qf.value(1 << 40) >= 2
+    for rule in ("pow:1.01", "logpow:16.5", "const:nan"):
+        with pytest.raises(ValueError):
+            QuotaFunction.parse(rule)
+
+
 def test_quota_function_parse_round_trip():
     assert str(QuotaFunction.parse("pow:0.5")) == "pow:0.5"
     assert str(QuotaFunction.parse("const:4")) == "const:4"

@@ -1,0 +1,66 @@
+"""Random event streams, valid or not, through the scheme drivers: only
+the run's recorded errors escape, a rejected event changes nothing, and
+every node's children stay listed in port order."""
+
+import pickle
+import random
+
+from hypothesis import given, settings, strategies as st
+
+from dynlabel import (DynamicScheme, IncreasingScheme, Network,
+                      PortAssignment, QuotaFunction)
+from dynlabel.harness import RUN_ERRORS
+from dynlabel.simnet import ScenarioEvent
+
+NETWORKS = [(PortAssignment.COMPACT, 1 << 20),
+            (PortAssignment.STABLE, 1 << 20),
+            (PortAssignment.ADVERSARY, 1),
+            (PortAssignment.ADVERSARY, 3),
+            (PortAssignment.ADVERSARY, 1 << 20)]
+
+# 60 events of (kind, how the target is picked, index into the picked
+# pool), two adds to a removal so the tree grows; "id" ranges over -1,
+# every id handed out so far (dead ones included) and two ids not
+# handed out yet
+EVENTS = st.lists(st.tuples(st.sampled_from("AAR"),
+                            st.sampled_from(["alive", "leaf", "id"]),
+                            st.integers(0, 1 << 16)),
+                  min_size=60, max_size=60)
+
+
+def _target(net, pick, i):
+    if pick == "alive":
+        pool = net.alive_list
+    elif pick == "leaf":
+        pool = [v for v in net.alive_list if net.is_leaf(v)]
+    else:
+        return i % (net.next_id + 3) - 1
+    return pool[i % len(pool)]
+
+
+def _state(scheme):
+    net = scheme.net
+    return pickle.dumps((net.parent, net.children, net.ports, net.port_to,
+                         net.alive, net.next_id, scheme.core.states,
+                         net.ledger.messages_total))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(network=st.sampled_from(NETWORKS),
+       model=st.sampled_from([IncreasingScheme, DynamicScheme]),
+       seed=st.integers(0, 1000), events=EVENTS)
+def test_event_streams_keep_the_state_sound(network, model, seed, events):
+    assignment, cap = network
+    net = Network(assignment=assignment, rng=random.Random(seed),
+                  port_cap=cap)
+    scheme = model(net, "distance", QuotaFunction.parse("pow:0.5"))
+    for kind, pick, i in events:
+        before = _state(scheme)
+        try:
+            scheme.apply(ScenarioEvent(kind, _target(net, pick, i)))
+        except RUN_ERRORS:
+            assert _state(scheme) == before
+        for v in net.alive_list:
+            got = list(map(net.port_to[v].__getitem__, net.children[v]))
+            assert got == sorted(got)
+        assert net.check_ports() == []

@@ -251,11 +251,41 @@ def test_cli_rejects_a_bad_quota_rule(capsys):
         assert "argument --kfn" in capsys.readouterr().err
 
 
-def test_cli_names_the_bad_scenario_line(tmp_path):
+def test_cli_names_the_bad_scenario_line(tmp_path, capsys):
     scen = tmp_path / "bad.txt"
     scen.write_text("A 0\nA x\n")
-    with pytest.raises(ValueError, match="line 2: bad scenario line 'A x'"):
+    with pytest.raises(SystemExit) as stop:
         cli_main(["run", "--scenario", str(scen)])
+    assert stop.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --scenario: line 2: bad scenario line 'A x'" in err
+
+
+def test_cli_rejects_a_missing_scenario_file(tmp_path, capsys):
+    missing = tmp_path / "absent.txt"
+    with pytest.raises(SystemExit) as stop:
+        cli_main(["run", "--scenario", str(missing)])
+    assert stop.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --scenario" in err and "absent.txt" in err
+
+
+def test_cli_rejects_quota_rules_it_cannot_compute(capsys):
+    for rule in ("pow:nan", "pow:inf", "pow:1000", "logpow:1000",
+                 "const:1e400", "pow:-0.5"):
+        with pytest.raises(SystemExit) as stop:
+            cli_main(["run", "--kfn", rule, "--events", "20"])
+        assert stop.value.code == 2, rule
+        assert "argument --kfn" in capsys.readouterr().err
+
+
+def test_removing_an_unknown_id_is_an_invalid_event(tmp_path):
+    scen = tmp_path / "unknown.txt"
+    scen.write_text("A 0\nR 999\n")
+    r = run(RunConfig(model="dynamic", p_delete=0.1,
+                      scenario_path=str(scen)))
+    assert r.errors == ["event 2: InvalidEvent: remove-leaf: 999 not alive"]
+    assert r.events_applied == 1 and not r.passed()
 
 
 def test_cli_turns_a_rejected_config_into_a_usage_error(capsys):

@@ -55,11 +55,10 @@ def test_designer_scoped_ports_are_the_watermark_prefix():
     core = s.core
     for v in net.alive_nodes():
         for l in range(1, core.levels):
-            got = core.bookkeeping.scoped_ports(v, l)
-            assert got == set(range(1, core.states[v].watermark[l] + 1))
-            truth = {net.port_to[v][c]
-                     for c in core.ground_children_in_scope(v, l)}
-            assert got == truth
+            kids = core.bookkeeping.children_in_scope(v, l)
+            got = [net.port_to[v][c] for c in kids]
+            assert got == list(range(1, core.states[v].watermark[l] + 1))
+            assert set(kids) == set(core.ground_children_in_scope(v, l))
 
 
 def test_adversary_add_beyond_count_targets_next_slot():
