@@ -79,7 +79,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.command == "gen":
-        events = generate_scenario(args.seed, args.events, args.pdelete)
+        try:
+            events = generate_scenario(args.seed, args.events, args.pdelete)
+        except ValueError as exc:
+            parser.error(str(exc))
         with open(args.out, "w") as fh:
             fh.write(format_scenario(events))
         return 0

@@ -190,7 +190,7 @@ class PhasedScheme(_CoreDriver):
                  tracker: str = "exact", verify_scopes: bool = False):
         self.net = net
         self.quota_fn = quota_fn
-        self.event_index = 0
+        self.event_index = 0        # events applied, rejected ones not counted
         self.phase_log = []
         self.restart_log = []
         fresh = net.alive_count == 1
@@ -219,12 +219,14 @@ class PhasedScheme(_CoreDriver):
         if not self.deletions:
             return self.net.alive_count
         return self.net.broadcast_convergecast(
-            self.net.root, lambda p, c: True, lambda v: 1, category="watch")
+            self.net.root, self.net.children, lambda v: 1, category="watch")
 
     def _phase_shift(self, count):
         params = compute_phase_params(count, self.quota_fn)
         self.core.transition(params.quota, params.levels)
-        self.phase_log.append((self.event_index, params))
+        # runs inside the core's apply of the event that filled the top
+        # quota; the driver counts that event once the core returns
+        self.phase_log.append((self.event_index + 1, params))
 
     @property
     def quota(self):
@@ -235,8 +237,8 @@ class PhasedScheme(_CoreDriver):
         return self.core.levels
 
     def add_leaf(self, parent: int) -> int:
-        self.event_index += 1
         child = self.core.apply_add(parent)
+        self.event_index += 1
         if self.deletions:
             self.net.charge_path(child, self.net.root, "watch")
             if self.tracker.on_change("A"):
@@ -246,9 +248,9 @@ class PhasedScheme(_CoreDriver):
     def remove_leaf(self, leaf: int) -> None:
         if not self.deletions:
             raise InvalidEvent("the leaf-increasing model has no deletions")
-        self.event_index += 1
         parent = self.net.parent.get(leaf)   # unknown ids fail in the network
         self.core.apply_remove(leaf)
+        self.event_index += 1
         self.net.charge_path(parent, self.net.root, "watch")
         if self.tracker.on_change("R"):
             self._restart()

@@ -68,8 +68,7 @@ class RunConfig:
             raise ValueError(f"unknown port model {self.port_model!r}")
         if self.model == "increasing" and self.p_delete != 0:
             raise ValueError("the leaf-increasing model forbids deletions")
-        if not 0 <= self.p_delete < 1:
-            raise ValueError("deletion probability must lie in [0, 1)")
+        _check_scenario_params(self.events, self.p_delete)
         if self.invariants not in ("every-event", "final", "off"):
             raise ValueError(f"unknown invariant mode {self.invariants!r}")
         if self.port_cap < 0:
@@ -132,10 +131,20 @@ class VerificationReport:
         return json.dumps(self.to_dict(), indent=2, default=str)
 
 
+def _check_scenario_params(n_events: int, p_delete: float) -> None:
+    """Reject an event count or deletion probability that no random
+    scenario can be drawn from."""
+    if n_events < 0:
+        raise ValueError("the event count must be nonnegative")
+    if not 0 <= p_delete < 1:
+        raise ValueError("deletion probability must lie in [0, 1)")
+
+
 def generate_scenario(seed: int, n_events: int, p_delete: float):
     """Uniformly random valid events: adds pick a uniform alive parent,
     removals a uniform alive non-root leaf (an add is emitted instead
     when no leaf is removable)."""
+    _check_scenario_params(n_events, p_delete)
     rng = random.Random(seed)
     alive = [0]
     parent = {}

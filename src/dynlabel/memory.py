@@ -68,25 +68,25 @@ class DesignerBookkeeping:
         for l in range(1, self.engine.levels):
             st.watermark[l] += 1
 
-    def on_reset(self, members, level):
+    def on_reset(self, scope, level):
         if level <= 1:
             return
-        for w in members:
+        for w in scope:
             st = self.engine.states[w]
             for l in range(1, level):
                 st.watermark[l] = 0
-        self.engine.mark_memory_dirty(members)
+        self.engine.mark_memory_dirty(scope)
 
-    def on_whole_tree_reset(self, members):
+    def on_whole_tree_reset(self, scope):
         """Top-level reset: normalize ports (parent gets the degree) and
         zero every watermark."""
         net = self.engine.net
-        for v in members:
+        for v in scope:
             net.normalize_ports(v)
             st = self.engine.states[v]
             for l in range(1, self.engine.levels):
                 st.watermark[l] = 0
-        self.engine.mark_memory_dirty(members)
+        self.engine.mark_memory_dirty(scope)
 
     def on_child_removed(self, parent, child, snapshot):
         q = self.engine.net.port_to[parent][child]
@@ -178,14 +178,15 @@ class AdversaryBookkeeping:
             self._write(touched)
         self.engine.mark_memory_dirty([parent])
 
-    def on_reset(self, members, level):
+    def on_reset(self, scope, level):
+        """A reset of ``scope`` (member -> in-scope children) empties
+        every member's lower scopes: tables and back-references."""
         if level <= 1:
             return
         net = self.engine.net
         states = self.engine.states
-        member_set = set(members)
         touched = set()
-        for v in members:
+        for v, kids in scope.items():
             vst = states[v]
             order = net.children[v]
             for l in range(1, level):
@@ -194,18 +195,17 @@ class AdversaryBookkeeping:
                     touched.add(order[i])
                 vst.scoped_count[l] = 0
             if self.engine.deletions:
-                for c in net.children[v]:
-                    if c in member_set:
-                        for l in range(1, level):
-                            if states[c].slot_backref[l] is not None:
-                                states[c].slot_backref[l] = None
-                                touched.add(c)
+                for c in kids:
+                    for l in range(1, level):
+                        if states[c].slot_backref[l] is not None:
+                            states[c].slot_backref[l] = None
+                            touched.add(c)
         if touched:
             self._write(touched)
-        self.engine.mark_memory_dirty(members)
+        self.engine.mark_memory_dirty(scope)
 
-    def on_whole_tree_reset(self, members):
-        self.on_reset(members, self.engine.levels)
+    def on_whole_tree_reset(self, scope):
+        self.on_reset(scope, self.engine.levels)
 
     def on_child_removed(self, parent, child, snapshot):
         """Repair tables and counters from the deleted child's backup."""

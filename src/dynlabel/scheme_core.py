@@ -91,8 +91,7 @@ class SchemeCore:
         self.finished = False
         self.joins = 0
         self.on_finished = None          # callback(last reset count)
-        self.last_reset_labels = None
-        self.last_reset_members = None
+        self.last_reset_labels = None    # member -> label, root first
         self.last_reset_count = None
         self.violations: list[str] = []
         self._dirty_mem: set[int] = set()
@@ -108,10 +107,9 @@ class SchemeCore:
         if self.net.alive_count != 1:
             raise SchemeError("fresh install requires a singleton tree")
         root = self.net.root
-        labels = self.pi.marker(self.net, root, {root})
-        self._fresh_states([root], labels)
+        labels = self.pi.marker(self.net, root, {root: []})
+        self._fresh_states(labels)
         self.last_reset_labels = labels
-        self.last_reset_members = [root]
         self.last_reset_count = 1
         self._flush_event()
 
@@ -120,18 +118,16 @@ class SchemeCore:
         whole-tree reset, then every node roots fresh lower scopes."""
         net = self.net
         root = net.root
-        members = self._whole_tree_order()
-        mset = set(members)
-        labels = self.pi.marker(net, root, mset)
-        self._fresh_states(members, labels)
-        count = self._count_scope(root, mset, self.levels)
+        scope = self._collect_scope(self.levels, root)
+        labels = self.pi.marker(net, root, scope)
+        self._fresh_states(labels)
+        count = self._count_scope(root, scope, self.levels)
         rst = self.states[root]
         rst.tally[self.levels] = 1
         rst.ever_count[self.levels] = count
-        self.bookkeeping.on_whole_tree_reset(members)
+        self.bookkeeping.on_whole_tree_reset(scope)
         net.ledger.reset_count += 1
         self.last_reset_labels = labels
-        self.last_reset_members = members
         self.last_reset_count = count
         self.finished = False
         self._flush_event()
@@ -141,47 +137,38 @@ class SchemeCore:
         whole-tree reset that just completed."""
         if quota < 2:
             raise SchemeError("reset quota must exceed 1")
-        members = self.last_reset_members
+        labels = self.last_reset_labels
         states = self.states
         old_levels = self.levels
-        carry = [states[v].ever_share[old_levels] for v in members]
+        carry = [states[v].ever_share[old_levels] for v in labels]
         carry_total = states[self.net.root].ever_count[old_levels]
         self.quota, self.levels = quota, levels
-        self._fresh_states(members, self.last_reset_labels)
-        for v, share in zip(members, carry):
+        self._fresh_states(labels)
+        for v, share in zip(labels, carry):
             states[v].ever_share[levels] = share
         rst = states[self.net.root]
         rst.tally[levels] = 1
         rst.ever_count[levels] = carry_total
         self.finished = False
 
-    def _fresh_states(self, members, labels) -> None:
-        """New memory for every member of a whole-tree reset, broadcast
-        from the root: each member roots every scope below the top (the
-        root every scope), counts once at every level and holds its new
-        static label at every level."""
+    def _fresh_states(self, labels) -> None:
+        """New memory for every member of a whole-tree reset (the keys
+        of its ``labels``), broadcast from the root: each member roots
+        every scope below the top (the root every scope), counts once at
+        every level and holds its new static label at every level."""
         net, levels = self.net, self.levels
         self_value = self.fn.self_value
-        for v in members:
+        for v, lab in labels.items():
             st = NodeState(levels)
             st.top_scope = levels if v == net.root else levels - 1
             st.ever_share[1:] = st.ever_count[1:] = [1] * levels
-            st.statics[1:] = [labels[v]] * levels
+            st.statics[1:] = [lab] * levels
             st.links[2:] = [self_value(net, v)] * (levels - 1)
             self.states[v] = st
-        if len(members) > 1:
-            net.ledger.count("broadcast", len(members) - 1)
-        self._dirty_labels.update(members)
-        self._dirty_mem.update(members)
-
-    def _whole_tree_order(self):
-        order = []
-        stack = [self.net.root]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            stack.extend(self.net.children[v])
-        return order
+        if len(labels) > 1:
+            net.ledger.count("broadcast", len(labels) - 1)
+        self._dirty_labels.update(labels)
+        self._dirty_mem.update(labels)
 
     # -- event entry points ----------------------------------------------
 
@@ -243,13 +230,13 @@ class SchemeCore:
         net = self.net
         level, root = 1, anchors[1]
         net.charge_path(child, root, "signal")
-        members = self._reset(level, root)
+        scope = self._reset(level, root)
         while True:
             rst = self.states[root]
             rst.tally[level] += 1
             if rst.tally[level] < self.quota:
                 if level >= 2:
-                    self._seed_fresh_scopes(members, level)
+                    self._seed_fresh_scopes(scope, level)
                 return
             if level == self.levels:
                 self._top_finished()
@@ -257,7 +244,7 @@ class SchemeCore:
             nxt = anchors[level + 1]
             net.charge_path(root, nxt, "signal")
             level, root = level + 1, nxt
-            members = self._reset(level, root)
+            scope = self._reset(level, root)
 
     def _top_finished(self) -> None:
         self.finished = True
@@ -265,42 +252,40 @@ class SchemeCore:
             self.on_finished(self.last_reset_count)
 
     def _reset(self, level: int, root: int):
-        """Count and relabel one decomposition subtree."""
+        """Count and relabel one decomposition subtree; returns its
+        scope map."""
         net = self.net
         if self.states[root].top_scope < level:
             raise SchemeError(f"reset target {root} is not a level-{level} scope root")
-        members = self._collect_scope(level, root)
-        mset = set(members)
-        count = self._count_scope(root, mset, level)
-        labels = self.pi.marker(net, root, mset)
+        scope = self._collect_scope(level, root)
+        count = self._count_scope(root, scope, level)
+        labels = self.pi.marker(net, root, scope)
         if len(set(labels.values())) != len(labels):
             raise SchemeError("marker produced duplicate labels")
-        for w in members:
+        for w, lab in labels.items():
             st = self.states[w]
-            lab = labels[w]
             for l in range(1, level + 1):
                 st.statics[l] = lab
             for l in range(1, level):
                 st.ever_share[l] = 1
         if level == self.levels:
-            self.bookkeeping.on_whole_tree_reset(members)
+            self.bookkeeping.on_whole_tree_reset(scope)
         else:
-            self.bookkeeping.on_reset(members, level)
+            self.bookkeeping.on_reset(scope, level)
         net.ledger.reset_count += 1
         self.last_reset_labels = labels
-        self.last_reset_members = members
         self.last_reset_count = count
-        self._dirty_labels.update(members)
-        self._dirty_mem.update(members)
-        return members
+        self._dirty_labels.update(scope)
+        self._dirty_mem.update(scope)
+        return scope
 
-    def _count_scope(self, root, mset, level) -> int:
+    def _count_scope(self, root, scope, level) -> int:
         if self.deletions:
             agg = lambda w: self.states[w].ever_share[level]
         else:
             agg = lambda w: 1
         return self.net.broadcast_convergecast(
-            root, lambda p, c: c in mset, agg, category="reset_count")
+            root, scope, agg, category="reset_count")
 
     def _seed_fresh_scopes(self, members, level: int) -> None:
         """Every member becomes the root of fresh scopes below `level`."""
@@ -319,29 +304,34 @@ class SchemeCore:
         self._dirty_mem.update(members)
         self._dirty_labels.update(members)
 
-    def _collect_scope(self, level: int, root: int):
-        members = [root]
+    def _collect_scope(self, level: int, root: int) -> dict:
+        """The scope map of the level-`level` subtree at `root`: each
+        member, root first, mapped to its in-scope children in port
+        order.  Below the top level the port bookkeeping names them; the
+        top level holds every child."""
+        top = level == self.levels
+        scope = {}
         stack = [root]
         while stack:
             v = stack.pop()
-            if level == self.levels:
+            if top:
                 kids = self.net.children_by_port(v)
             else:
                 kids = self.bookkeeping.children_in_scope(v, level)
-            if self.verify_scopes:
-                truth = self.ground_children_in_scope(v, level)
-                if sorted(kids) != sorted(truth):
-                    self.violations.append(
-                        f"scope query at node {v} level {level}: "
-                        f"{sorted(kids)} != {sorted(truth)}")
-                    kids = truth
-            members.extend(kids)
+                if self.verify_scopes:
+                    truth = self.ground_children_in_scope(v, level)
+                    if sorted(kids) != sorted(truth):
+                        self.violations.append(
+                            f"scope query at node {v} level {level}: "
+                            f"{sorted(kids)} != {sorted(truth)}")
+                        kids = truth
+            scope[v] = kids
             stack.extend(kids)
-        return members
+        return scope
 
     def ground_children_in_scope(self, v: int, level: int):
-        if level >= self.levels:
-            return list(self.net.children[v])
+        """v's children inside its level-``level`` scope (below the top
+        level), read off their scope flags."""
         return [c for c in self.net.children[v]
                 if self.states[c].top_scope < level]
 

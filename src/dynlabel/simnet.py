@@ -300,14 +300,15 @@ class Network:
             hops += 1
         return hops
 
-    def broadcast_convergecast(self, subtree_root: int, edge_filter,
-                               aggregate, category="reset_count"):
-        """Broadcast down and converge back up over a filtered subtree.
+    def broadcast_convergecast(self, subtree_root: int, scope, aggregate,
+                               category="reset_count"):
+        """Broadcast down and converge back up over a subtree.
 
-        ``edge_filter(parent, child)`` selects the subtree edges;
-        ``aggregate(node)`` yields each member's contribution; the sum
-        is returned.  Charges exactly 2*(m-1) messages for a subtree of
-        m members.
+        ``scope`` maps each member to its children inside the subtree
+        (``children`` itself for the whole tree below ``subtree_root``);
+        ``aggregate(node)`` yields each member's contribution, and the
+        sum over the members reached from ``subtree_root`` is returned.
+        Charges exactly 2*(m-1) messages for the m members reached.
         """
         if not self.is_alive(subtree_root):
             raise SimulationError(f"subtree root {subtree_root} not alive")
@@ -315,9 +316,7 @@ class Network:
         stack = [subtree_root]
         while stack:
             v = stack.pop()
-            for c in self.children_by_port(v):
-                if not edge_filter(v, c):
-                    continue
+            for c in scope[v]:
                 self.send(v, self.port_to[v][c], category=category)      # down
                 self.send(c, self.port_to[c][v], category=category)      # up
                 total += aggregate(c)

@@ -1,6 +1,8 @@
 """Static labeling schemes run as root-coordinated marker protocols.
 
-A marker labels every member of a connected subtree in one invocation,
+A marker labels every member of a connected subtree in one invocation.
+It takes the subtree as a scope map: each member, root first, mapped to
+its children inside the subtree in port order.  The invocation is
 charged as a traversal that crosses each subtree edge once in each
 direction (2*(m-1) messages for m members).  Decoders are pure
 functions of two labels from the same invocation.
@@ -36,7 +38,7 @@ class DecodeError(ValueError):
 @dataclass(frozen=True)
 class StaticScheme:
     name: str
-    marker: Callable          # (net, root, members) -> {node: label}
+    marker: Callable          # (net, root, scope map) -> {node: label}
     decoder: Callable         # (label_u, label_v) -> F value
     encode_label: Callable    # label -> bit string
     decode_label: Callable    # (bits, pos) -> (label, pos)
@@ -45,51 +47,37 @@ class StaticScheme:
     mc_budget: Callable       # n -> message budget
 
 
-def _charge_traversal(net, root, members):
-    """Walk every subtree edge down and back, one message per crossing."""
-    seen = 0
+def _charge_traversal(net, root, scope):
+    """Walk every scope edge down and back, one message per crossing;
+    the scope must be connected below its root."""
     before = net.ledger.messages_total
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        seen += 1
-        for c in net.children_by_port(v):
-            if c in members:
-                net.send(v, net.port_to[v][c], category="marker")
-                net.send(c, net.port_to[c][v], category="marker")
-                stack.append(c)
+    seen = net.broadcast_convergecast(root, scope, lambda v: 1,
+                                      category="marker")
     net.ledger.note_marker(net.ledger.messages_total - before)
-    if seen != len(members):
+    if seen != len(scope):
         raise DecodeError("marker scope is not connected")
-
-
-def _scope_children(net, members):
-    return {v: [c for c in net.children_by_port(v) if c in members]
-            for v in members}
 
 
 # -- ancestry: depth-first intervals ---------------------------------------
 
 
-def dfs_interval_marker(net, root, members):
-    members = set(members)
-    _charge_traversal(net, root, members)
-    kids = _scope_children(net, members)
+def dfs_interval_marker(net, root, scope):
+    _charge_traversal(net, root, scope)
     a, b = {}, {}
     counter = 0
     stack = [(root, False)]
     while stack:
         v, done = stack.pop()
         if done:
-            b[v] = max((b[c] for c in kids[v]), default=a[v])
+            b[v] = max((b[c] for c in scope[v]), default=a[v])
             continue
         counter += 1
         a[v] = counter
         b[v] = counter
         stack.append((v, True))
-        for c in reversed(kids[v]):
+        for c in reversed(scope[v]):
             stack.append((c, False))
-    return {v: ("iv", a[v], b[v]) for v in members}
+    return {v: ("iv", a[v], b[v]) for v in scope}
 
 
 def dfs_interval_decode(lu, lv):
@@ -116,21 +104,19 @@ def _iv_bits(lab):
 # -- distance / separation level: centroid separators ----------------------
 
 
-def separator_marker(net, root, members):
+def separator_marker(net, root, scope):
     """Recursive centroid decomposition; labels carry one (separator,
     distance) entry per level plus the node's depth in the whole tree."""
-    members = set(members)
-    _charge_traversal(net, root, members)
-    kids = _scope_children(net, members)
+    _charge_traversal(net, root, scope)
     nbrs = {}
-    for v in members:
-        out = list(kids[v])
+    for v in scope:
+        out = list(scope[v])
         p = net.parent[v]
-        if p in members:
+        if p in scope:
             out.append(p)
         nbrs[v] = out
-    uid = {v: i for i, v in enumerate(sorted(members))}
-    entries = {v: [] for v in members}
+    uid = {v: i for i, v in enumerate(sorted(scope))}
+    entries = {v: [] for v in scope}
     removed = set()
     work = [root]
     while work:
@@ -145,7 +131,7 @@ def separator_marker(net, root, members):
             if w in comp and w not in removed:
                 work.append(w)
     return {v: ("sep", uid[v], net.depth[v], tuple(entries[v]))
-            for v in members}
+            for v in scope}
 
 
 def _component(seed, nbrs, removed):
@@ -253,17 +239,15 @@ def _sep_bits(lab):
 # -- routing: intervals plus light-edge port lists --------------------------
 
 
-def routing_marker(net, root, members):
-    members = set(members)
-    _charge_traversal(net, root, members)
-    kids = _scope_children(net, members)
+def routing_marker(net, root, scope):
+    _charge_traversal(net, root, scope)
     size = {}
-    for v in _postorder(root, kids):
-        size[v] = 1 + sum(size[c] for c in kids[v])
+    for v in _postorder(root, scope):
+        size[v] = 1 + sum(size[c] for c in scope[v])
     heavy = {}
-    for v in members:
-        if kids[v]:
-            heavy[v] = max(kids[v], key=lambda c: (size[c], -net.port_to[v][c]))
+    for v in scope:
+        if scope[v]:
+            heavy[v] = max(scope[v], key=lambda c: (size[c], -net.port_to[v][c]))
         else:
             heavy[v] = None
     a = {}
@@ -279,26 +263,26 @@ def routing_marker(net, root, members):
         order = []
         if heavy[v] is not None:
             order.append((heavy[v], acc))
-        for c in kids[v]:
+        for c in scope[v]:
             if c != heavy[v]:
                 order.append((c, acc + ((a[v], net.port_to[v][c]),)))
         for item in reversed(order):
             stack.append(item)
     out = {}
-    for v in members:
+    for v in scope:
         pp = -1 if net.parent[v] is None else net.port_to[v][net.parent[v]]
         hp = -1 if heavy[v] is None else net.port_to[v][heavy[v]]
         out[v] = ("rt", a[v], a[v] + size[v] - 1, pp, hp, light[v])
     return out
 
 
-def _postorder(root, kids):
+def _postorder(root, scope):
     order = []
     stack = [root]
     while stack:
         v = stack.pop()
         order.append(v)
-        stack.extend(kids[v])
+        stack.extend(scope[v])
     return reversed(order)
 
 

@@ -54,3 +54,12 @@ def random_parents(rng, n):
 def grow_random(scheme, net, rng, adds):
     for _ in range(adds):
         scheme.add_leaf(net.alive_list[rng.randrange(len(net.alive_list))])
+
+
+def scope_of(net, root, members):
+    """Scope map of a member set, as resets hand it to markers and
+    convergecasts: each member, root first, mapped to its children inside
+    the set in port order."""
+    members = set(members)
+    order = [root] + sorted(members - {root})
+    return {v: [c for c in net.children[v] if c in members] for v in order}

@@ -6,8 +6,9 @@ from hypothesis import given, strategies as st
 
 import dynlabel
 from dynlabel import (DynamicScheme, ExactChangeTracker, IncreasingScheme,
-                      Network, QuotaFunction, compute_phase_params,
-                      get_function, scheme_for)
+                      Network, QuotaFunction, ScenarioEvent,
+                      compute_phase_params, generate_scenario, get_function,
+                      scheme_for)
 from dynlabel.harness import build_network, RunConfig, run
 from dynlabel.simnet import InvalidEvent
 
@@ -192,7 +193,7 @@ def test_reset_count_is_the_ever_count_of_its_scope():
     s.remove_leaf(b)
     # the next join under `a` resets a scope that saw one deletion
     s.add_leaf(a)
-    members = core.last_reset_members
+    members = list(core.last_reset_labels)
     root = members[0]
     assert core.last_reset_count == core.states[root].ever_count[1]
     assert core.last_reset_count == len(members) + 1  # deleted node counted
@@ -245,6 +246,34 @@ def test_dynamic_restarts_exactly_at_crossings():
             baseline = n_alive
             adds = dels = 0
     assert s.restart_log == expected
+
+
+@pytest.mark.parametrize("model", [IncreasingScheme, DynamicScheme])
+def test_rejected_events_take_no_event_number(model):
+    """A rejected event leaves ``event_index`` alone, so a stream with
+    rejected events mixed in logs the same phase shifts and restarts, at
+    the same event numbers, as the stream without them."""
+    p_delete = 0.3 if model.deletions else 0.0
+    stream = generate_scenario(3, 300, p_delete)
+    rejected = [ScenarioEvent("R", 0), ScenarioEvent("R", 99_999),
+                ScenarioEvent("A", 99_999)]
+
+    def replay(with_rejected):
+        s = model(Network(), "ancestry", QuotaFunction.parse("pow:0.5"))
+        for i, ev in enumerate(stream):
+            if with_rejected and i % 7 == 0:
+                before = s.event_index
+                for bad in rejected:
+                    with pytest.raises(InvalidEvent):
+                        s.apply(bad)
+                    assert s.event_index == before
+            s.apply(ev)
+        return s.event_index, s.phase_log, s.restart_log
+
+    clean = replay(False)
+    # phase shifts on the growing tree, restarts with deletions
+    assert clean[0] == len(stream) and clean[2 if model.deletions else 1]
+    assert replay(True) == clean
 
 
 def test_dynamic_scheme_is_quiet_before_first_crossing():

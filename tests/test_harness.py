@@ -293,3 +293,20 @@ def test_cli_turns_a_rejected_config_into_a_usage_error(capsys):
         cli_main(["run", "--pdelete", "0.3"])
     assert stop.value.code == 2
     assert "forbids deletions" in capsys.readouterr().err
+
+
+def test_cli_rejects_stream_parameters_no_scenario_has(tmp_path, capsys):
+    out = tmp_path / "scen.txt"
+    cases = [(["run", "--events", "-5"], "event count must be nonnegative"),
+             (["gen", "--events", "-5", "--out", str(out)],
+              "event count must be nonnegative"),
+             (["gen", "--pdelete", "7", "--out", str(out)],
+              "deletion probability must lie in [0, 1)"),
+             (["gen", "--pdelete", "-0.1", "--out", str(out)],
+              "deletion probability must lie in [0, 1)")]
+    for argv, message in cases:
+        with pytest.raises(SystemExit) as stop:
+            cli_main(argv)
+        assert stop.value.code == 2, argv
+        assert message in capsys.readouterr().err, argv
+    assert not out.exists()

@@ -2,14 +2,14 @@ import random
 
 import pytest
 
-from dynlabel import (FiniteScheme, Network, decode_labels,
+from dynlabel import (FiniteScheme, Network, PortAssignment, decode_labels,
                       decode_dynamic_label, dynamic_label_bits,
                       encode_dynamic_label, get_function, scheme_for)
 from dynlabel.scheme_core import SchemeError
 from dynlabel.simnet import InvalidEvent
 from dynlabel.static_schemes import DecodeError
 
-from _util import build_net, grow_random
+from _util import build_net, grow_random, scope_of
 
 
 def _label_depth(lab):
@@ -68,6 +68,27 @@ def test_reset_of_five_node_scope_costs_eight_count_messages():
     assert net.ledger.category("reset_count") - count_before == 8
     assert net.ledger.category("marker") - marker_before == \
         net.ledger.marker_last_messages == 8
+
+
+@pytest.mark.parametrize("assignment", [PortAssignment.COMPACT,
+                                        PortAssignment.ADVERSARY])
+def test_reset_below_the_top_reads_no_child_list(assignment, monkeypatch):
+    """A level-1 reset walks the scope the port bookkeeping names once;
+    counting, marking and bookkeeping read that map, so a join under
+    the root of a 300-child star never lists a node's children."""
+    net = Network(assignment=assignment, rng=random.Random(5))
+    s = FiniteScheme(net, "ancestry", quota=1000, levels=2)
+    for _ in range(300):
+        s.add_leaf(0)
+    calls = []
+    listed = Network.children_by_port
+    monkeypatch.setattr(Network, "children_by_port",
+                        lambda net, v: calls.append(v) or listed(net, v))
+    resets = net.ledger.reset_count
+    s.add_leaf(0)
+    assert net.ledger.reset_count == resets + 1
+    assert net.ledger.marker_last_messages == 2 * 301   # all 302 nodes
+    assert calls == []
 
 
 def test_consecutive_resets_reissue_fresh_labels():
@@ -199,7 +220,7 @@ def test_cross_scope_decode_composes_hand_built_labels():
     net = build_net([0, 1, 2, 3, 0, 5, 4])
     pi = scheme_for("distance")
     fn = get_function("distance")
-    statics = pi.marker(net, 0, set(net.alive_nodes()))
+    statics = pi.marker(net, 0, scope_of(net, 0, net.alive_nodes()))
     lx = ("N", statics[0], 2, ("L", statics[6]))
     ly = ("N", statics[4], 1, ("L", statics[7]))
     assert decode_labels(fn, pi, lx, ly) == 7
@@ -210,7 +231,7 @@ def test_decode_mismatched_nesting_rejected():
     net = build_net([0])
     pi = scheme_for("distance")
     fn = get_function("distance")
-    statics = pi.marker(net, 0, {0, 1})
+    statics = pi.marker(net, 0, scope_of(net, 0, {0, 1}))
     with pytest.raises(DecodeError):
         decode_labels(fn, pi, ("L", statics[0]),
                       ("N", statics[1], 1, ("L", statics[1])))

@@ -6,7 +6,7 @@ from dynlabel import (Network, PortAssignment, ScenarioEvent, format_scenario,
                       parse_scenario)
 from dynlabel.simnet import DeadNeighborError, InvalidEvent
 
-from _util import build_net
+from _util import build_net, scope_of
 
 
 class FixedPorts:
@@ -118,23 +118,27 @@ def test_send_to_dead_neighbor_raises_and_counts():
 
 def test_broadcast_convergecast_singleton():
     net = Network()
-    value = net.broadcast_convergecast(0, lambda p, c: True, lambda v: 1)
+    value = net.broadcast_convergecast(0, scope_of(net, 0, {0}), lambda v: 1)
     assert value == 1
     assert net.ledger.messages_total == 0
 
 
 def test_broadcast_convergecast_five_nodes():
-    net = build_net([0, 0, 1, 1])
-    members = set(net.alive_nodes())
-    count = net.broadcast_convergecast(0, lambda p, c: c in members, lambda v: 1)
-    assert count == 5
-    assert net.ledger.messages_total == 8
+    # the whole tree, then a map that leaves out node 1's child 4 and
+    # node 0's child 2
+    for members in ({0, 1, 2, 3, 4}, {0, 1, 3}):
+        net = build_net([0, 0, 1, 1])
+        count = net.broadcast_convergecast(0, scope_of(net, 0, members),
+                                           lambda v: 1)
+        assert count == len(members)
+        assert net.ledger.messages_total == 2 * (len(members) - 1)
 
 
 def test_broadcast_convergecast_custom_aggregate():
     net = build_net([0, 0, 1])
     weight = {0: 5, 1: 2, 2: 1, 3: 9}
-    total = net.broadcast_convergecast(0, lambda p, c: True, weight.__getitem__)
+    total = net.broadcast_convergecast(0, scope_of(net, 0, weight),
+                                       weight.__getitem__)
     assert total == 17
 
 
@@ -162,8 +166,8 @@ def test_replay_message_count_is_deterministic():
         for parent in [0, 0, 1, 2, 2, 0]:
             net.add_leaf(parent)
         net.charge_path(6, 0, "signal")
-        members = set(net.alive_nodes())
-        net.broadcast_convergecast(0, lambda p, c: c in members, lambda v: 1)
+        net.broadcast_convergecast(0, scope_of(net, 0, net.alive_nodes()),
+                                   lambda v: 1)
         return net.ledger.messages_total, dict(net.ledger.by_category)
 
     assert one_run() == one_run()

@@ -8,12 +8,11 @@ from dynlabel.static_schemes import (DecodeError, dfs_interval_decode,
                                      routing_decode,
                                      separator_distance_decode)
 
-from _util import build_net, random_parents
+from _util import build_net, random_parents, scope_of
 
 
 def _mark(net, name):
-    members = set(net.alive_nodes())
-    return scheme_for(name).marker(net, 0, members)
+    return scheme_for(name).marker(net, 0, scope_of(net, 0, net.alive_nodes()))
 
 
 def test_interval_marker_on_chain():
@@ -136,7 +135,7 @@ def test_decoder_matches_oracle_exhaustively(name):
     net = build_net(random_parents(rng, 60), assignment=assignment)
     pi = scheme_for(name)
     fn = get_function(name)
-    labels = pi.marker(net, 0, set(net.alive_nodes()))
+    labels = pi.marker(net, 0, scope_of(net, 0, net.alive_nodes()))
     for u in net.alive_nodes():
         for v in net.alive_nodes():
             assert pi.decoder(labels[u], labels[v]) == fn.oracle(net, u, v)
@@ -152,7 +151,7 @@ def test_labels_unique_and_within_budgets(name):
                         assignment=assignment)
         pi = scheme_for(name)
         before = net.ledger.messages_total
-        labels = pi.marker(net, 0, set(net.alive_nodes()))
+        labels = pi.marker(net, 0, scope_of(net, 0, net.alive_nodes()))
         assert len(set(labels.values())) == len(labels)
         assert net.ledger.messages_total - before <= pi.mc_budget(n)
         for lab in labels.values():
@@ -166,7 +165,7 @@ def test_static_label_wire_round_trip(name):
                   else PortAssignment.COMPACT)
     net = build_net(random_parents(rng, 20), assignment=assignment)
     pi = scheme_for(name)
-    labels = pi.marker(net, 0, set(net.alive_nodes()))
+    labels = pi.marker(net, 0, scope_of(net, 0, net.alive_nodes()))
     for lab in labels.values():
         wire = pi.encode_label(lab)
         assert len(wire) == pi.label_bits(lab)
@@ -176,17 +175,23 @@ def test_static_label_wire_round_trip(name):
 
 
 def test_marker_on_subtree_scope_only():
-    net = build_net([0, 0, 1, 1, 2])
-    scope = {1, 3, 4}
-    labels = scheme_for("ancestry").marker(net, 1, scope)
-    assert set(labels) == scope
-    assert labels[1] == ("iv", 1, 3)
+    cases = [([0, 0, 1, 1, 2], 1, {1, 3, 4}),
+             ([0] * 300, 0, {0, 7, 150, 299})]   # 3 of a star's 300 children
+    for parents, root, members in cases:
+        for name in ("ancestry", "distance", "seplevel", "routing"):
+            net = build_net(parents, assignment=PortAssignment.STABLE)
+            labels = scheme_for(name).marker(net, root,
+                                             scope_of(net, root, members))
+            assert set(labels) == members
+            assert net.ledger.marker_last_messages == 2 * (len(members) - 1)
+            if name == "ancestry":
+                assert labels[root] == ("iv", 1, len(members))
 
 
 def test_marker_rejects_disconnected_scope():
-    net = build_net([0, 0])
+    net = build_net([0, 1])      # the chain 0-1-2 without its middle node
     with pytest.raises(DecodeError):
-        scheme_for("ancestry").marker(net, 0, {0, 5})
+        scheme_for("ancestry").marker(net, 0, scope_of(net, 0, {0, 2}))
 
 
 def test_distance_decode_requires_shared_separator():
@@ -224,7 +229,7 @@ def test_intervals_are_ordered_and_nested():
 def test_fresh_resets_discard_old_labels():
     net = build_net([0])
     pi = scheme_for("ancestry")
-    first = pi.marker(net, 0, set(net.alive_nodes()))
+    first = pi.marker(net, 0, scope_of(net, 0, net.alive_nodes()))
     net.add_leaf(0)
-    second = pi.marker(net, 0, set(net.alive_nodes()))
+    second = pi.marker(net, 0, scope_of(net, 0, net.alive_nodes()))
     assert first[0] != second[0]
