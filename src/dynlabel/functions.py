@@ -12,7 +12,8 @@ Each supported function F on node pairs provides:
 * ``self_value(net, w)`` / ``edge_value(net, parent, child)`` -- the
   values a node can produce locally, used for incremental label
   maintenance,
-* ``encode(v)`` / ``decode(bits, pos)`` -- compact bit encoding.
+* ``layout``              -- the wire layout of a value, from which
+  ``bits.encode``, ``bits.read`` and ``bits.size`` derive its coding.
 
 Values are plain tuples/ints so the query hot path stays cheap:
 
@@ -94,6 +95,7 @@ class TreeFunction:
 
     name = ""
     symmetric = True
+    layout = None           # wire layout of a value (see ``bits``)
 
     def oracle(self, net, u, v):
         raise NotImplementedError
@@ -114,18 +116,10 @@ class TreeFunction:
         """F(parent, child) for a tree edge, known locally at creation."""
         raise NotImplementedError
 
-    def encode(self, value) -> str:
-        raise NotImplementedError
-
-    def decode(self, s: str, pos: int = 0):
-        raise NotImplementedError
-
-    def encoded_len(self, value) -> int:
-        return len(self.encode(value))
-
 
 class Ancestry(TreeFunction):
     name = "ancestry"
+    layout = (bits.FLAG, bits.FLAG)
 
     def oracle(self, net, u, v):
         a = nca(net, u, v)
@@ -146,17 +140,10 @@ class Ancestry(TreeFunction):
     def edge_value(self, net, parent, child):
         return (True, False)
 
-    def encode(self, value):
-        return ("1" if value[0] else "0") + ("1" if value[1] else "0")
-
-    def decode(self, s, pos=0):
-        if pos + 2 > len(s):
-            raise bits.BitsError("truncated ancestry value")
-        return (s[pos] == "1", s[pos + 1] == "1"), pos + 2
-
 
 class Distance(TreeFunction):
     name = "distance"
+    layout = bits.UINT
 
     def oracle(self, net, u, v):
         a = nca(net, u, v)
@@ -177,18 +164,10 @@ class Distance(TreeFunction):
     def edge_value(self, net, parent, child):
         return 1
 
-    def encode(self, value):
-        return bits.uint(value)
-
-    def decode(self, s, pos=0):
-        return bits.read_uint(s, pos)
-
-    def encoded_len(self, value):
-        return bits.uint_len(value)
-
 
 class SeparationLevel(TreeFunction):
     name = "seplevel"
+    layout = bits.UINT
 
     def oracle(self, net, u, v):
         return net.depth[nca(net, u, v)]
@@ -206,21 +185,13 @@ class SeparationLevel(TreeFunction):
     def edge_value(self, net, parent, child):
         return net.depth[parent]
 
-    def encode(self, value):
-        return bits.uint(value)
-
-    def decode(self, s, pos=0):
-        return bits.read_uint(s, pos)
-
-    def encoded_len(self, value):
-        return bits.uint_len(value)
-
 
 class Routing(TreeFunction):
     """First-hop routing; asymmetric, so values carry both directions."""
 
     name = "routing"
     symmetric = False
+    layout = (bits.tag(ROUTE_SELF[0], "port"), bits.UINT, bits.UINT)
 
     def oracle(self, net, u, v):
         if u == v:
@@ -257,25 +228,6 @@ class Routing(TreeFunction):
 
     def edge_value(self, net, parent, child):
         return ("port", net.port_to[parent][child], net.port_to[child][parent])
-
-    def encode(self, value):
-        if value == ROUTE_SELF:
-            return "1"
-        return "0" + bits.uint(value[1]) + bits.uint(value[2])
-
-    def decode(self, s, pos=0):
-        if pos >= len(s):
-            raise bits.BitsError("truncated routing value")
-        if s[pos] == "1":
-            return ROUTE_SELF, pos + 1
-        fwd, pos = bits.read_uint(s, pos + 1)
-        bwd, pos = bits.read_uint(s, pos)
-        return ("port", fwd, bwd), pos
-
-    def encoded_len(self, value):
-        if value == ROUTE_SELF:
-            return 1
-        return 1 + bits.uint_len(value[1]) + bits.uint_len(value[2])
 
 
 FUNCTIONS = {

@@ -382,7 +382,7 @@ class SchemeCore:
         for w in sorted(self._dirty_labels):
             if net.is_alive(w):
                 net.ledger.note_label_bits(
-                    dynamic_label_bits(self.pi, self.fn, self.label(w)))
+                    dynamic_label_bits(self.fn, self.label(w)))
         for x in sorted(self._dirty_mem):
             if net.is_alive(x):
                 net.ledger.note_memory_bits(self.memory_bits(x))
@@ -496,34 +496,37 @@ def decode_labels(fn, pi, lx, ly):
         raise DecodeError("mismatched label nesting")
 
 
-def dynamic_label_bits(pi, fn, lab) -> int:
+def dynamic_label_bits(fn, lab) -> int:
+    """Exact wire length of a nested label, in O(levels): each static
+    label carries its own bit count."""
     n = 0
     while lab[0] == "N":
-        n += 1 + bits.block_len(pi.label_bits(lab[1]))
-        n += bits.block_len(fn.encoded_len(lab[2]))
+        n += (1 + bits.block_bits(lab[1][-1])
+              + bits.block_bits(bits.size(fn.layout, lab[2])))
         lab = lab[3]
-    return n + 1 + bits.block_len(pi.label_bits(lab[1]))
+    return n + 1 + bits.block_bits(lab[1][-1])
 
 
 def encode_dynamic_label(pi, fn, lab) -> str:
     parts = []
     while lab[0] == "N":
-        parts.append("1" + bits.block(pi.encode_label(lab[1]))
-                     + bits.block(fn.encode(lab[2])))
+        parts.append("1" + bits.block(bits.encode(pi.layout, lab[1]))
+                     + bits.block(bits.encode(fn.layout, lab[2])))
         lab = lab[3]
-    parts.append("0" + bits.block(pi.encode_label(lab[1])))
+    parts.append("0" + bits.block(bits.encode(pi.layout, lab[1])))
     return "".join(parts)
 
 
 def decode_dynamic_label(pi, fn, s: str, pos: int = 0):
+    """Decode one nested label at ``pos``; every block must hold exactly
+    the value its layout reads.  Returns (label, pos)."""
     if pos >= len(s):
         raise bits.BitsError("empty label wire")
     tag = s[pos]
-    payload, pos = bits.read_block(s, pos + 1)
-    static, _ = pi.decode_label(payload, 0)
+    fields, n, pos = bits.read_block(pi.layout, s, pos + 1)
+    static = (*fields, n)
     if tag == "0":
         return ("L", static), pos
-    fpayload, pos = bits.read_block(s, pos)
-    fval, _ = fn.decode(fpayload, 0)
+    fval, _, pos = bits.read_block(fn.layout, s, pos)
     inner, pos = decode_dynamic_label(pi, fn, s, pos)
     return ("N", static, fval, inner), pos

@@ -7,10 +7,14 @@ charged as a traversal that crosses each subtree edge once in each
 direction (2*(m-1) messages for m members).  Decoders are pure
 functions of two labels from the same invocation.
 
+A label is the tuple of its wire fields, in the order its scheme's
+``layout`` declares them, followed by its exact bit count, which the
+marker sets once when it builds the label (``bits.sized``).
+
 Schemes provided:
 
-* ancestry  -- depth-first intervals [a, b]; ancestor intervals contain
-  descendant intervals,
+* ancestry  -- depth-first intervals [a, a + d], stored as (a, d);
+  ancestor intervals contain descendant intervals,
 * distance  -- centroid-separator entries (separator id, distance) per
   decomposition level plus the node's global depth,
 * seplevel  -- the distance labels decoded to the depth of the nearest
@@ -40,9 +44,7 @@ class StaticScheme:
     name: str
     marker: Callable          # (net, root, scope map) -> {node: label}
     decoder: Callable         # (label_u, label_v) -> F value
-    encode_label: Callable    # label -> bit string
-    decode_label: Callable    # (bits, pos) -> (label, pos)
-    label_bits: Callable      # label -> exact bit count
+    layout: tuple             # wire fields of a label (bits.encode/read)
     ls_budget: Callable       # (n, port bits) -> bit budget
     mc_budget: Callable       # n -> message budget
 
@@ -61,6 +63,9 @@ def _charge_traversal(net, root, scope):
 # -- ancestry: depth-first intervals ---------------------------------------
 
 
+INTERVAL = (bits.UINT, bits.UINT)       # a, d: the interval [a, a + d]
+
+
 def dfs_interval_marker(net, root, scope):
     _charge_traversal(net, root, scope)
     a, b = {}, {}
@@ -77,31 +82,21 @@ def dfs_interval_marker(net, root, scope):
         stack.append((v, True))
         for c in reversed(scope[v]):
             stack.append((c, False))
-    return {v: ("iv", a[v], b[v]) for v in scope}
+    return {v: bits.sized(INTERVAL, (a[v], b[v] - a[v])) for v in scope}
 
 
 def dfs_interval_decode(lu, lv):
     """Ancestor-or-self in both directions from interval containment."""
-    _, au, bu = lu
-    _, av, bv = lv
-    return (au <= av <= bu, av <= au <= bv)
-
-
-def _iv_encode(lab):
-    return bits.uint(lab[1]) + bits.uint(lab[2] - lab[1])
-
-
-def _iv_decode(s, pos=0):
-    a, pos = bits.read_uint(s, pos)
-    d, pos = bits.read_uint(s, pos)
-    return ("iv", a, a + d), pos
-
-
-def _iv_bits(lab):
-    return bits.uint_len(lab[1]) + bits.uint_len(lab[2] - lab[1])
+    au, du, _ = lu
+    av, dv, _ = lv
+    return (au <= av <= au + du, av <= au <= av + dv)
 
 
 # -- distance / separation level: centroid separators ----------------------
+
+
+# uid, depth, one (separator uid, distance) pair per decomposition level
+SEPARATOR = (bits.UINT, bits.UINT, bits.PAIRS)
 
 
 def separator_marker(net, root, scope):
@@ -130,7 +125,7 @@ def separator_marker(net, root, scope):
         for w in nbrs[c]:
             if w in comp and w not in removed:
                 work.append(w)
-    return {v: ("sep", uid[v], net.depth[v], tuple(entries[v]))
+    return {v: bits.sized(SEPARATOR, (uid[v], net.depth[v], tuple(entries[v])))
             for v in scope}
 
 
@@ -191,7 +186,7 @@ def _bfs_dist(start, nbrs, removed, comp):
 
 def separator_distance_decode(lu, lv):
     best = None
-    for (su, du), (sv, dv) in zip(lu[3], lv[3]):
+    for (su, du), (sv, dv) in zip(lu[2], lv[2]):
         if su != sv:
             break
         if best is None or du + dv < best:
@@ -203,40 +198,18 @@ def separator_distance_decode(lu, lv):
 
 def separator_seplevel_decode(lu, lv):
     d = separator_distance_decode(lu, lv)
-    total = lu[2] + lv[2] - d
+    total = lu[1] + lv[1] - d
     if total % 2:
         raise DecodeError("inconsistent depths in separator labels")
     return total // 2
 
 
-def _sep_encode(lab):
-    out = [bits.uint(lab[1]), bits.uint(lab[2]), bits.uint(len(lab[3]))]
-    for sid, d in lab[3]:
-        out.append(bits.uint(sid))
-        out.append(bits.uint(d))
-    return "".join(out)
-
-
-def _sep_decode(s, pos=0):
-    uid, pos = bits.read_uint(s, pos)
-    depth, pos = bits.read_uint(s, pos)
-    n, pos = bits.read_uint(s, pos)
-    entries = []
-    for _ in range(n):
-        sid, pos = bits.read_uint(s, pos)
-        d, pos = bits.read_uint(s, pos)
-        entries.append((sid, d))
-    return ("sep", uid, depth, tuple(entries)), pos
-
-
-def _sep_bits(lab):
-    n = bits.uint_len(lab[1]) + bits.uint_len(lab[2]) + bits.uint_len(len(lab[3]))
-    for sid, d in lab[3]:
-        n += bits.uint_len(sid) + bits.uint_len(d)
-    return n
-
-
 # -- routing: intervals plus light-edge port lists --------------------------
+
+
+# a, d (the interval [a, a + d]), parent port and heavy-child port (-1
+# for none), then one (ancestor a, port) pair per light edge from the root
+ROUTING = (bits.UINT, bits.UINT, bits.SINT, bits.SINT, bits.PAIRS)
 
 
 def routing_marker(net, root, scope):
@@ -272,7 +245,7 @@ def routing_marker(net, root, scope):
     for v in scope:
         pp = -1 if net.parent[v] is None else net.port_to[v][net.parent[v]]
         hp = -1 if heavy[v] is None else net.port_to[v][heavy[v]]
-        out[v] = ("rt", a[v], a[v] + size[v] - 1, pp, hp, light[v])
+        out[v] = bits.sized(ROUTING, (a[v], size[v] - 1, pp, hp, light[v]))
     return out
 
 
@@ -288,13 +261,13 @@ def _postorder(root, scope):
 
 def _routing_hop(lu, lv):
     """Port at the node labeled lu of the first hop toward lv."""
-    _, au, bu, pp, hp, _ = lu
-    av = lv[1]
-    if not (au <= av <= bu):
+    au, du, pp, hp = lu[:4]
+    av = lv[0]
+    if not (au <= av <= au + du):
         if pp < 0:
             raise DecodeError("routing target outside a rootless scope")
         return pp
-    for anc_a, port in lv[5]:
+    for anc_a, port in lv[4]:
         if anc_a == au:
             return port
     if hp < 0:
@@ -303,41 +276,9 @@ def _routing_hop(lu, lv):
 
 
 def routing_decode(lu, lv):
-    if lu[1] == lv[1]:
+    if lu[0] == lv[0]:
         return ROUTE_SELF
     return ("port", _routing_hop(lu, lv), _routing_hop(lv, lu))
-
-
-def _rt_encode(lab):
-    out = [bits.uint(lab[1]), bits.uint(lab[2] - lab[1]),
-           bits.sint(lab[3]), bits.sint(lab[4]), bits.uint(len(lab[5]))]
-    for anc_a, port in lab[5]:
-        out.append(bits.uint(anc_a))
-        out.append(bits.uint(port))
-    return "".join(out)
-
-
-def _rt_decode(s, pos=0):
-    a, pos = bits.read_uint(s, pos)
-    d, pos = bits.read_uint(s, pos)
-    pp, pos = bits.read_sint(s, pos)
-    hp, pos = bits.read_sint(s, pos)
-    n, pos = bits.read_uint(s, pos)
-    light = []
-    for _ in range(n):
-        anc_a, pos = bits.read_uint(s, pos)
-        port, pos = bits.read_uint(s, pos)
-        light.append((anc_a, port))
-    return ("rt", a, a + d, pp, hp, tuple(light)), pos
-
-
-def _rt_bits(lab):
-    n = (bits.uint_len(lab[1]) + bits.uint_len(lab[2] - lab[1]) +
-         len(bits.sint(lab[3])) + len(bits.sint(lab[4])) +
-         bits.uint_len(len(lab[5])))
-    for anc_a, port in lab[5]:
-        n += bits.uint_len(anc_a) + bits.uint_len(port)
-    return n
 
 
 # -- registry ----------------------------------------------------------------
@@ -345,21 +286,17 @@ def _rt_bits(lab):
 
 SCHEMES = {
     "ancestry": StaticScheme(
-        "ancestry", dfs_interval_marker, dfs_interval_decode,
-        _iv_encode, _iv_decode, _iv_bits, interval_label_budget,
-        marker_message_budget),
+        "ancestry", dfs_interval_marker, dfs_interval_decode, INTERVAL,
+        interval_label_budget, marker_message_budget),
     "distance": StaticScheme(
-        "distance", separator_marker, separator_distance_decode,
-        _sep_encode, _sep_decode, _sep_bits, separator_label_budget,
-        marker_message_budget),
+        "distance", separator_marker, separator_distance_decode, SEPARATOR,
+        separator_label_budget, marker_message_budget),
     "seplevel": StaticScheme(
-        "seplevel", separator_marker, separator_seplevel_decode,
-        _sep_encode, _sep_decode, _sep_bits, separator_label_budget,
-        marker_message_budget),
+        "seplevel", separator_marker, separator_seplevel_decode, SEPARATOR,
+        separator_label_budget, marker_message_budget),
     "routing": StaticScheme(
-        "routing", routing_marker, routing_decode,
-        _rt_encode, _rt_decode, _rt_bits, routing_label_budget,
-        marker_message_budget),
+        "routing", routing_marker, routing_decode, ROUTING,
+        routing_label_budget, marker_message_budget),
 }
 
 

@@ -53,7 +53,7 @@ def _run_worker(kwargs):
 def _pool_map(worker, jobs):
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(processes=max(2, multiprocessing.cpu_count())) as pool:
-        return pool.map(worker, jobs)
+        return pool.map(worker, jobs, chunksize=1)
 
 
 @pytest.fixture(scope="session")

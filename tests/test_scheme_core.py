@@ -1,11 +1,14 @@
+import dataclasses
 import random
 
 import pytest
 
-from dynlabel import (FiniteScheme, Network, PortAssignment, decode_labels,
-                      decode_dynamic_label, dynamic_label_bits,
-                      encode_dynamic_label, get_function, scheme_for)
-from dynlabel.scheme_core import SchemeError
+from dynlabel import (DynamicScheme, FiniteScheme, Network, PortAssignment,
+                      QuotaFunction, bits, decode_labels, decode_dynamic_label,
+                      dynamic_label_bits, encode_dynamic_label,
+                      generate_scenario, get_function, scheme_for)
+from dynlabel import static_schemes
+from dynlabel.scheme_core import SchemeCore, SchemeError
 from dynlabel.simnet import InvalidEvent
 from dynlabel.static_schemes import DecodeError
 
@@ -290,7 +293,7 @@ def test_dynamic_label_wire_round_trip():
     for v in net.alive_nodes():
         lab = s.label(v)
         wire = encode_dynamic_label(pi, fn, lab)
-        assert len(wire) == dynamic_label_bits(pi, fn, lab)
+        assert len(wire) == dynamic_label_bits(fn, lab)
         back, pos = decode_dynamic_label(pi, fn, wire)
         assert back == lab and pos == len(wire)
 
@@ -309,3 +312,65 @@ def test_grown_core_decodes_from_wire_alone():
         lu, _ = decode_dynamic_label(pi, fn, encode_dynamic_label(pi, fn, s.label(u)))
         lv, _ = decode_dynamic_label(pi, fn, encode_dynamic_label(pi, fn, s.label(v)))
         assert decode_labels(fn, pi, lu, lv) == fn.oracle(net, u, v)
+
+
+@pytest.mark.parametrize("name", ["ancestry", "distance", "seplevel", "routing"])
+def test_wire_blocks_with_trailing_bits_are_rejected(name):
+    """A static or value block must hold exactly what its layout reads:
+    padding either one gives a second wire for the same label."""
+    net = build_net([0, 0], assignment=PortAssignment.STABLE)
+    pi, fn = scheme_for(name), get_function(name)
+    labels = pi.marker(net, 0, scope_of(net, 0, net.alive_nodes()))
+    lab = ("N", labels[0], fn.oracle(net, 0, 1), ("L", labels[1]))
+    wire = encode_dynamic_label(pi, fn, lab)
+    assert decode_dynamic_label(pi, fn, wire) == (lab, len(wire))
+    static, _, pos = bits.read_block(pi.layout, wire, 1)
+    value, _, pos = bits.read_block(fn.layout, wire, pos)
+    static = bits.encode(pi.layout, static)
+    value = bits.encode(fn.layout, value)
+    inner = wire[pos:]
+    for pad in ("0", "1", "1111"):
+        with pytest.raises(bits.BitsError):
+            decode_dynamic_label(pi, fn, "0" + bits.block(static + pad))
+        with pytest.raises(bits.BitsError):
+            decode_dynamic_label(pi, fn, "1" + bits.block(static)
+                                 + bits.block(value + pad) + inner)
+
+
+@pytest.mark.parametrize("name", ["ancestry", "distance", "seplevel", "routing"])
+def test_static_labels_are_sized_once_when_built(monkeypatch, name):
+    """Over a grown leaf-dynamic run, the static layout is sized once per
+    label a marker builds, and never while an event's labels are
+    measured: nested labels are sized from the bits their parts carry."""
+    pi = scheme_for(name)
+    built, sized, flushing = [], [], []
+    real_size, real_flush = bits.size, SchemeCore._flush_event
+
+    def size(layout, value):
+        if layout is pi.layout:
+            sized.append(bool(flushing))
+        return real_size(layout, value)
+
+    def marker(*args):
+        labels = pi.marker(*args)
+        built.append(len(labels))
+        return labels
+
+    def flush(core):
+        flushing.append(core)
+        try:
+            real_flush(core)
+        finally:
+            flushing.pop()
+
+    monkeypatch.setattr(bits, "size", size)
+    monkeypatch.setattr(SchemeCore, "_flush_event", flush)
+    monkeypatch.setitem(static_schemes.SCHEMES, name,
+                        dataclasses.replace(pi, marker=marker))
+    net = Network(assignment=PortAssignment.STABLE, rng=random.Random(5))
+    s = DynamicScheme(net, name, QuotaFunction.parse("pow:0.5"))
+    for ev in generate_scenario(5, 300, 0.3):
+        s.apply(ev)
+    assert s.restart_log and sum(built) > 300
+    assert len(sized) == sum(built)
+    assert not any(sized)

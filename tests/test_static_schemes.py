@@ -2,13 +2,22 @@ import random
 
 import pytest
 
-from dynlabel import PortAssignment, get_function, scheme_for
+from dynlabel import PortAssignment, bits, get_function, scheme_for
 from dynlabel.functions import ROUTE_SELF
-from dynlabel.static_schemes import (DecodeError, dfs_interval_decode,
-                                     routing_decode,
+from dynlabel.static_schemes import (INTERVAL, SEPARATOR, DecodeError,
+                                     dfs_interval_decode, routing_decode,
                                      separator_distance_decode)
 
 from _util import build_net, random_parents, scope_of
+
+
+def _iv(a, b):
+    """The interval label of [a, b]."""
+    return bits.sized(INTERVAL, (a, b - a))
+
+
+def _sep(uid, depth, entries):
+    return bits.sized(SEPARATOR, (uid, depth, entries))
 
 
 def _mark(net, name):
@@ -18,29 +27,29 @@ def _mark(net, name):
 def test_interval_marker_on_chain():
     net = build_net([0, 1])
     labels = _mark(net, "ancestry")
-    assert labels[0] == ("iv", 1, 3)
-    assert labels[1] == ("iv", 2, 3)
-    assert labels[2] == ("iv", 3, 3)
+    assert labels[0] == _iv(1, 3)
+    assert labels[1] == _iv(2, 3)
+    assert labels[2] == _iv(3, 3)
 
 
 def test_interval_marker_on_star():
     net = build_net([0, 0, 0])
     labels = _mark(net, "ancestry")
-    assert labels[0] == ("iv", 1, 4)
+    assert labels[0] == _iv(1, 4)
     leaf_labels = sorted(labels[v] for v in (1, 2, 3))
-    assert leaf_labels == [("iv", 2, 2), ("iv", 3, 3), ("iv", 4, 4)]
+    assert leaf_labels == [_iv(2, 2), _iv(3, 3), _iv(4, 4)]
 
 
 def test_interval_marker_on_singleton():
     net = build_net([])
     labels = _mark(net, "ancestry")
-    assert labels[0] == ("iv", 1, 1)
+    assert labels[0] == _iv(1, 1)
 
 
 def test_interval_decoder_directions():
-    assert dfs_interval_decode(("iv", 1, 3), ("iv", 2, 3)) == (True, False)
-    assert dfs_interval_decode(("iv", 2, 2), ("iv", 3, 3)) == (False, False)
-    lab = ("iv", 2, 5)
+    assert dfs_interval_decode(_iv(1, 3), _iv(2, 3)) == (True, False)
+    assert dfs_interval_decode(_iv(2, 2), _iv(3, 3)) == (False, False)
+    lab = _iv(2, 5)
     assert dfs_interval_decode(lab, lab) == (True, True)
 
 
@@ -155,7 +164,8 @@ def test_labels_unique_and_within_budgets(name):
         assert len(set(labels.values())) == len(labels)
         assert net.ledger.messages_total - before <= pi.mc_budget(n)
         for lab in labels.values():
-            assert pi.label_bits(lab) <= pi.ls_budget(n)
+            assert lab[-1] == bits.size(pi.layout, lab)
+            assert lab[-1] <= pi.ls_budget(n)
 
 
 @pytest.mark.parametrize("name", ["ancestry", "distance", "seplevel", "routing"])
@@ -167,10 +177,10 @@ def test_static_label_wire_round_trip(name):
     pi = scheme_for(name)
     labels = pi.marker(net, 0, scope_of(net, 0, net.alive_nodes()))
     for lab in labels.values():
-        wire = pi.encode_label(lab)
-        assert len(wire) == pi.label_bits(lab)
-        back, pos = pi.decode_label(wire, 0)
-        assert back == lab
+        wire = bits.encode(pi.layout, lab)
+        assert len(wire) == lab[-1]
+        back, pos = bits.read(pi.layout, wire)
+        assert (*back, len(wire)) == lab
         assert pos == len(wire)
 
 
@@ -185,7 +195,7 @@ def test_marker_on_subtree_scope_only():
             assert set(labels) == members
             assert net.ledger.marker_last_messages == 2 * (len(members) - 1)
             if name == "ancestry":
-                assert labels[root] == ("iv", 1, len(members))
+                assert labels[root] == _iv(1, len(members))
 
 
 def test_marker_rejects_disconnected_scope():
@@ -196,21 +206,21 @@ def test_marker_rejects_disconnected_scope():
 
 def test_distance_decode_requires_shared_separator():
     with pytest.raises(DecodeError):
-        separator_distance_decode(("sep", 0, 0, ((0, 1),)),
-                                  ("sep", 1, 0, ((7, 1),)))
+        separator_distance_decode(_sep(0, 0, ((0, 1),)),
+                                  _sep(1, 0, ((7, 1),)))
 
 
 def test_seplevel_decode_rejects_inconsistent_depths():
     from dynlabel.static_schemes import separator_seplevel_decode
     with pytest.raises(DecodeError):
-        separator_seplevel_decode(("sep", 0, 2, ((0, 1),)),
-                                  ("sep", 1, 1, ((0, 1),)))
+        separator_seplevel_decode(_sep(0, 2, ((0, 1),)),
+                                  _sep(1, 1, ((0, 1),)))
 
 
 def test_separator_labels_share_top_level():
     net = build_net([0, 0, 1])
     labels = _mark(net, "distance")
-    top_ids = {labels[v][3][0][0] for v in net.alive_nodes()}
+    top_ids = {labels[v][2][0][0] for v in net.alive_nodes()}
     assert len(top_ids) == 1
 
 
@@ -219,11 +229,11 @@ def test_intervals_are_ordered_and_nested():
     net = build_net(random_parents(rng, 40))
     labels = _mark(net, "ancestry")
     for v in net.alive_nodes():
-        _, a, b = labels[v]
-        assert a <= b
+        a, d, _ = labels[v]
+        assert d >= 0
         if net.parent[v] is not None:
-            _, pa, pb = labels[net.parent[v]]
-            assert pa <= a and b <= pb
+            pa, pd, _ = labels[net.parent[v]]
+            assert pa <= a and a + d <= pa + pd
 
 
 def test_fresh_resets_discard_old_labels():
