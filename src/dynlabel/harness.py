@@ -66,6 +66,7 @@ class RunConfig:
             raise ValueError(f"unknown model {self.model!r}")
         if self.port_model not in ("designer", "adversary"):
             raise ValueError(f"unknown port model {self.port_model!r}")
+        get_function(self.function)
         if self.model == "increasing" and self.p_delete != 0:
             raise ValueError("the leaf-increasing model forbids deletions")
         _check_scenario_params(self.events, self.p_delete)

@@ -16,8 +16,9 @@ subtree.  Two strategies are provided:
   repaired from a backup copy.
 
 Backups keep, for every child u of a node v, one copy of u's scheme
-memory at either v (when u is an only child) or at u's next sibling in
-cyclic port order; no node ever holds more than two copies.
+memory: at v when u is an only child, else at u's next sibling in cyclic
+port order.  v also keeps a former only child's copy once a second
+child joins, until that child's memory next changes (``BackupStore``).
 """
 
 from __future__ import annotations
@@ -75,18 +76,13 @@ class DesignerBookkeeping:
             st = self.engine.states[w]
             for l in range(1, level):
                 st.watermark[l] = 0
-        self.engine.mark_memory_dirty(scope)
 
     def on_whole_tree_reset(self, scope):
         """Top-level reset: normalize ports (parent gets the degree) and
         zero every watermark."""
-        net = self.engine.net
         for v in scope:
-            net.normalize_ports(v)
-            st = self.engine.states[v]
-            for l in range(1, self.engine.levels):
-                st.watermark[l] = 0
-        self.engine.mark_memory_dirty(scope)
+            self.engine.net.normalize_ports(v)
+        self.on_reset(scope, self.engine.levels)
 
     def on_child_removed(self, parent, child, snapshot):
         q = self.engine.net.port_to[parent][child]
@@ -94,20 +90,15 @@ class DesignerBookkeeping:
         for l in range(1, self.engine.levels):
             if st.watermark[l] >= q:
                 st.watermark[l] -= 1
-        self.engine.mark_memory_dirty([parent])
 
     def children_in_scope(self, v, level):
-        net = self.engine.net
-        return [net.ports[v][p] for p in
-                range(1, self.engine.states[v].watermark[level] + 1)]
+        # compact children hold ports 1..k in list order
+        return self.engine.net.children[v][
+            :self.engine.states[v].watermark[level]]
 
     def memory_bits(self, v):
-        st = self.engine.states[v]
-        n = _counter_list_bits(st.watermark[1:self.engine.levels])
-        p = self.engine.net.parent[v]
-        if p is not None:
-            n += int_bits(self.engine.net.port_to[v][p])
-        return n
+        return _counter_list_bits(
+            self.engine.states[v].watermark[1:self.engine.levels])
 
     def check(self, flag) -> list[str]:
         """Watermarks against the ground scopes at every node of
@@ -176,7 +167,6 @@ class AdversaryBookkeeping:
             vst.scoped_count[l] = c + 1
         if touched:
             self._write(touched)
-        self.engine.mark_memory_dirty([parent])
 
     def on_reset(self, scope, level):
         """A reset of ``scope`` (member -> in-scope children) empties
@@ -202,7 +192,6 @@ class AdversaryBookkeeping:
                             touched.add(c)
         if touched:
             self._write(touched)
-        self.engine.mark_memory_dirty(scope)
 
     def on_whole_tree_reset(self, scope):
         self.on_reset(scope, self.engine.levels)
@@ -252,20 +241,17 @@ class AdversaryBookkeeping:
         touched.discard(child)
         if touched:
             self._write(touched)
-        self.engine.mark_memory_dirty([parent])
 
-    def scoped_ports(self, v, level):
+    def children_in_scope(self, v, level):
+        # the first count children's slots name the ports; a round trip each
         net = self.engine.net
         states = self.engine.states
         order = net.children[v]
-        c = self.engine.states[v].scoped_count[level]
+        c = states[v].scoped_count[level]
         net.ledger.count("membook", 2 * c)
-        return {states[order[i]].slot_table[level] for i in range(c)}
-
-    def children_in_scope(self, v, level):
-        net = self.engine.net
-        return sorted((net.ports[v][p] for p in self.scoped_ports(v, level)),
-                      key=lambda w: net.port_to[v][w])
+        ports = {states[order[i]].slot_table[level] for i in range(c)}
+        return sorted((net.ports[v][p] for p in ports),
+                      key=net.port_to[v].__getitem__)
 
     def memory_bits(self, v):
         st = self.engine.states[v]
@@ -274,9 +260,6 @@ class AdversaryBookkeeping:
         n += _slot_list_bits(st.slot_table[1:lv])
         if self.engine.deletions:
             n += _slot_list_bits(st.slot_backref[1:lv])
-        p = self.engine.net.parent[v]
-        if p is not None:
-            n += int_bits(self.engine.net.port_to[v][p])
         return n
 
     def check(self, flag) -> list[str]:
@@ -347,7 +330,12 @@ def snapshot_bits(snap) -> int:
 
 
 class BackupStore:
-    """Copies of child scheme memories at the parent or next sibling."""
+    """Copies of child scheme memories, each placed by ``_refresh``.
+
+    A parent keeps its former only child's copy after a second child
+    joins: the copy is current, but it counts toward the parent's memory
+    and ``read_copy`` reads it there instead of paying two messages.
+    """
 
     def __init__(self, engine):
         self.engine = engine
@@ -358,10 +346,6 @@ class BackupStore:
         if held is not None:
             held.pop(subject, None)
 
-    def _erase_subject_everywhere(self, subject, parent):
-        for holder in (parent, *self.engine.net.children[parent]):
-            self._erase(holder, subject)
-
     def _place(self, holder, subject):
         net = self.engine.net
         snap = take_snapshot(self.engine.states[subject])
@@ -369,31 +353,32 @@ class BackupStore:
         # a hop to the parent, two when relayed on to a sibling
         net.ledger.count("backup", 1 if holder == net.parent[subject] else 2)
 
-    def refresh(self, subject):
-        """Re-place the canonical copy after subject's memory changed."""
-        net = self.engine.net
-        v = net.parent[subject]
-        if v is None:
-            return
-        order = net.children[v]
-        holder = v if len(order) == 1 else next_sibling(net, v, subject)
+    def _refresh(self, subject, order):
+        """Place subject's copy at its holder among ``order``, its
+        parent's children in port order.  The holder drops any copy of
+        another of them, the parent and siblings their old ones."""
+        parent = self.engine.net.parent[subject]
+        holder = (parent if len(order) == 1
+                  else order[(order.index(subject) + 1) % len(order)])
         for s in list(self.copies.get(holder, ())):
             if s in order and s != subject:
                 self._erase(holder, s)
-        self._erase_subject_everywhere(subject, v)
+        for x in (parent, *order):
+            self._erase(x, subject)
         self._place(holder, subject)
 
+    def refresh(self, subject):
+        """Re-place the copy after subject's memory changed."""
+        v = self.engine.net.parent[subject]
+        if v is not None:
+            self._refresh(subject, self.engine.net.children[v])
+
     def on_leaf_added(self, parent, child):
+        """Back up the new child, and its previous sibling at it."""
         net = self.engine.net
         order = net.children[parent]
-        if len(order) == 1:
-            self._place(parent, child)
-        else:
-            nxt = next_sibling(net, parent, child)
-            for s in list(self.copies.get(nxt, ())):
-                if s in order and s != child:
-                    self._erase(nxt, s)
-            self._place(nxt, child)
+        self._refresh(child, order)
+        if len(order) > 1:
             self._place(child, prev_sibling(net, parent, child))
 
     def read_copy(self, parent, child) -> dict:
@@ -410,24 +395,13 @@ class BackupStore:
         raise MemoryError_(f"no backup copy of node {child}")
 
     def on_child_removed(self, parent, child):
-        """Re-home copies after the deletion of one child."""
-        net = self.engine.net
-        order_pre = net.children[parent]
-        order_post = [w for w in order_pre if w != child]
-        if len(order_post) == 1:
-            w = order_post[0]
-            for s in list(self.copies.get(parent, ())):
-                if s in order_pre and s != w:
-                    self._erase(parent, s)
-            self._erase_subject_everywhere(w, parent)
-            self._place(parent, w)
-        elif len(order_post) > 1:
-            nxt = next_sibling(net, parent, child)
-            pre = prev_sibling(net, parent, child)
-            self._erase(nxt, child)
-            self._erase_subject_everywhere(pre, parent)
-            self._place(nxt, pre)
-        self._erase_subject_everywhere(child, parent)
+        """Back up the removed child's previous sibling among the rest."""
+        order = self.engine.net.children[parent]
+        rest = [w for w in order if w != child]
+        if rest:
+            self._refresh(order[order.index(child) - 1], rest)
+        for x in (parent, *order):
+            self._erase(x, child)
         self.copies.pop(child, None)
 
     def held_bits(self, holder) -> int:

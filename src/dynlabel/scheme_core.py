@@ -48,7 +48,7 @@ class NodeState:
     def __init__(self, levels: int):
         self.top_scope = 0
         self.tally = [0] * (levels + 1)
-        self.ever_share = [0] * (levels + 1)
+        self.ever_share = [0] + [1] * levels
         self.ever_count = [0] * (levels + 1)
         self.statics = [None] * (levels + 1)
         self.links = [None] * (levels + 1)
@@ -94,8 +94,7 @@ class SchemeCore:
         self.last_reset_labels = None    # member -> label, root first
         self.last_reset_count = None
         self.violations: list[str] = []
-        self._dirty_mem: set[int] = set()
-        self._dirty_labels: set[int] = set()
+        self._dirty: set[int] = set()    # label or memory changed this event
         net.on_add(self._joined)
         net.on_remove(self._leaving)
 
@@ -161,14 +160,13 @@ class SchemeCore:
         for v, lab in labels.items():
             st = NodeState(levels)
             st.top_scope = levels if v == net.root else levels - 1
-            st.ever_share[1:] = st.ever_count[1:] = [1] * levels
+            st.ever_count[1:] = [1] * levels
             st.statics[1:] = [lab] * levels
             st.links[2:] = [self_value(net, v)] * (levels - 1)
             self.states[v] = st
         if len(labels) > 1:
             net.ledger.count("broadcast", len(labels) - 1)
-        self._dirty_labels.update(labels)
-        self._dirty_mem.update(labels)
+        self._dirty.update(labels)
 
     # -- event entry points ----------------------------------------------
 
@@ -192,8 +190,6 @@ class SchemeCore:
         st = NodeState(self.levels)
         self.states[child] = st
         pst = self.states[parent]
-        for l in range(1, self.levels + 1):
-            st.ever_share[l] = 1
         edge = self.fn.edge_value(net, parent, child)
         for l in range(2, self.levels + 1):
             st.links[l] = self.fn.compose(pst.links[l], edge)
@@ -204,7 +200,7 @@ class SchemeCore:
         self.bookkeeping.on_leaf_added(parent, child)
         if self.backups is not None:
             self.backups.on_leaf_added(parent, child)
-        self._dirty_mem.update((parent, child))
+        self._dirty.update((parent, child))
         self._cascade(child, anchors)
 
     def _leaving(self, leaf: int) -> None:
@@ -220,9 +216,8 @@ class SchemeCore:
         self.bookkeeping.on_child_removed(parent, leaf, snap)
         self.backups.on_child_removed(parent, leaf)
         del self.states[leaf]
-        self._dirty_mem.add(parent)
-        self._dirty_mem.discard(leaf)
-        self._dirty_labels.discard(leaf)
+        self._dirty.add(parent)
+        self._dirty.discard(leaf)
 
     # -- reset cascade ---------------------------------------------------
 
@@ -275,8 +270,7 @@ class SchemeCore:
         net.ledger.reset_count += 1
         self.last_reset_labels = labels
         self.last_reset_count = count
-        self._dirty_labels.update(scope)
-        self._dirty_mem.update(scope)
+        self._dirty.update(scope)
         return scope
 
     def _count_scope(self, root, scope, level) -> int:
@@ -301,8 +295,7 @@ class SchemeCore:
                 st.ever_count[l] = 1
             for l in range(2, level + 1):
                 st.links[l] = self.fn.self_value(net, w)
-        self._dirty_mem.update(members)
-        self._dirty_labels.update(members)
+        self._dirty.update(members)
 
     def _collect_scope(self, level: int, root: int) -> dict:
         """The scope map of the level-`level` subtree at `root`: each
@@ -371,23 +364,22 @@ class SchemeCore:
     # -- per-event bookkeeping ------------------------------------------------
 
     def mark_memory_dirty(self, nodes) -> None:
-        self._dirty_mem.update(nodes)
+        self._dirty.update(nodes)
 
     def _flush_event(self) -> None:
+        """Refresh the backup of every node the event changed, then size
+        each one's label and memory (with the copies it now holds)."""
         net = self.net
+        dirty = sorted(filter(net.is_alive, self._dirty))
+        self._dirty.clear()
         if self.backups is not None:
-            for x in sorted(self._dirty_mem):
-                if net.is_alive(x) and x != net.root:
+            for x in dirty:
+                if x != net.root:
                     self.backups.refresh(x)
-        for w in sorted(self._dirty_labels):
-            if net.is_alive(w):
-                net.ledger.note_label_bits(
-                    dynamic_label_bits(self.fn, self.label(w)))
-        for x in sorted(self._dirty_mem):
-            if net.is_alive(x):
-                net.ledger.note_memory_bits(self.memory_bits(x))
-        self._dirty_labels.clear()
-        self._dirty_mem.clear()
+        for x in dirty:
+            net.ledger.note_label_bits(
+                dynamic_label_bits(self.fn, self.label(x)))
+            net.ledger.note_memory_bits(self.memory_bits(x))
 
     def memory_bits(self, v: int) -> int:
         st = self.states[v]
@@ -395,6 +387,9 @@ class SchemeCore:
         n += sum(int_bits(x) for x in st.tally[1:])
         n += sum(int_bits(x) for x in st.ever_share[1:])
         n += self.bookkeeping.memory_bits(v)
+        p = self.net.parent[v]
+        if p is not None:
+            n += int_bits(self.net.port_to[v][p])
         if self.backups is not None:
             n += self.backups.held_bits(v)
         return n
@@ -434,11 +429,13 @@ class SchemeCore:
                                        f"{v}->{c} level {l}"
                                        for l in range(tv + 1, t + 1))
                 stack.extend(kids)
+        # scope-query violations recorded since the last scan
+        violations, self.violations = self.violations, []
         out = net.check_tree_shape(flag) + net.check_ports(flag)
         if self.finished:
             # terminal state: the final whole-tree reset has cleared the
             # per-level bookkeeping and nothing re-seeds the scopes
-            return out
+            return out + violations
         if states[root].top_scope != levels:
             out.append("root is not a top-level scope root")
         out.extend(self._ever_share_faults(flag))
@@ -446,7 +443,7 @@ class SchemeCore:
         out.extend(self.bookkeeping.check(flag))
         if self.backups is not None:
             out.extend(self.backups.check())
-        out.extend(self.violations)
+        out.extend(violations)
         return out
 
     def _ever_share_faults(self, flag) -> list[str]:

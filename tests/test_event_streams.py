@@ -1,6 +1,7 @@
 """Random event streams, valid or not, through the scheme drivers: only
-the run's recorded errors escape, a rejected event changes nothing, and
-every node's children stay listed in port order."""
+the run's recorded errors escape, a rejected event changes nothing,
+every node's children stay listed in port order, and every backup copy
+sits where the placement rule puts it."""
 
 import pickle
 import random
@@ -42,7 +43,28 @@ def _state(scheme):
     net = scheme.net
     return pickle.dumps((net.parent, net.children, net.ports, net.port_to,
                          net.alive, net.next_id, scheme.core.states,
+                         scheme.core.backups and scheme.core.backups.copies,
                          net.ledger.messages_total))
+
+
+def _holder(net, u):
+    """Where u's copy belongs: at its parent when it is an only child,
+    else at its next sibling in cyclic port order."""
+    p = net.parent[u]
+    order = net.children[p]
+    if len(order) == 1:
+        return p
+    return order[(order.index(u) + 1) % len(order)]
+
+
+def _backup_faults(net, copies):
+    """Alive non-root nodes without a copy at their holder, and copies
+    neither at their holder nor at their subject's parent."""
+    missing = [u for u in net.alive_list if u != net.root
+               and u not in copies.get(_holder(net, u), {})]
+    stray = [(h, u) for h, held in copies.items() for u in held
+             if h not in (_holder(net, u), net.parent[u])]
+    return missing, stray
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -64,3 +86,5 @@ def test_event_streams_keep_the_state_sound(network, model, seed, events):
             got = list(map(net.port_to[v].__getitem__, net.children[v]))
             assert got == sorted(got)
         assert net.check_ports() == []
+        if scheme.core.backups is not None:
+            assert _backup_faults(net, scheme.core.backups.copies) == ([], [])

@@ -173,6 +173,11 @@ def test_report_json_round_trips():
     assert data["final_n"] == 31
 
 
+def test_config_rejects_unknown_function():
+    with pytest.raises(ValueError, match="unknown tree function 'nope'"):
+        RunConfig(function="nope")
+
+
 def test_config_rejects_negative_port_cap():
     with pytest.raises(ValueError):
         RunConfig(port_model="adversary", port_cap=-1)

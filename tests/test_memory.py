@@ -147,7 +147,7 @@ def test_scope_collection_charges_two_per_consulted_child():
     core = s.core
     cnt = core.states[0].scoped_count[1]
     before = net.ledger.category("membook")
-    core.bookkeeping.scoped_ports(0, 1)
+    core.bookkeeping.children_in_scope(0, 1)
     assert net.ledger.category("membook") - before == 2 * cnt
 
 

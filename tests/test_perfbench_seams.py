@@ -1,13 +1,14 @@
 """The benchmark's span tracer wraps dynlabel callables by name; every
-seam it names must exist, so a rename fails here and not only in a
-traced benchmark run.  The same holds for what the benchmark reads off
-each ``StaticScheme``."""
+seam it names must exist and be called, so a rename or a bypass fails
+here and does not just read zero in a traced benchmark run.  The same
+holds for what the benchmark reads off each ``StaticScheme``."""
 
 import dataclasses
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
-from dynlabel import PortAssignment
+from dynlabel import PortAssignment, RunConfig, run
 from dynlabel.static_schemes import SCHEMES
 
 from _util import build_net, scope_of
@@ -15,11 +16,15 @@ from _util import build_net, scope_of
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
 
-def test_every_benchmark_seam_resolves():
+def _spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    seams = spans._seams()
+    return spans
+
+
+def test_every_benchmark_seam_resolves():
+    seams = _spans()._seams()
     assert seams
     missing = [(getattr(owner, "__name__", owner), attr)
                for owner, attr, _, _ in seams
@@ -52,3 +57,34 @@ def test_every_static_scheme_keeps_the_benchmark_contract():
             assert type(pi.ls_budget(n)) is int, name
             assert type(pi.ls_budget(n, 21)) is int, name
             assert type(pi.mc_budget(n)) is int, name
+
+
+def test_every_benchmark_seam_is_called():
+    spans = _spans()
+    seams = [(owner, attr) for owner, attr, _, _ in spans._seams()]
+    calls = Counter()
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    undo = []
+    try:
+        for owner, attr in seams:
+            spans.patch(undo, owner, attr,
+                        counted((owner, attr), getattr(owner, attr)))
+        for port_model in ("designer", "adversary"):
+            for model, p_delete in (("increasing", 0.0), ("dynamic", 0.3)):
+                r = run(RunConfig(seed=1, events=200, model=model,
+                                  p_delete=p_delete, port_model=port_model,
+                                  function="distance", verify="sampled:4",
+                                  invariants="every-event"))
+                assert r.passed(), (port_model, model)
+    finally:
+        spans.restore(undo)
+    assert len(seams) == 34
+    idle = [(getattr(owner, "__name__", owner), attr)
+            for owner, attr in seams if not calls[(owner, attr)]]
+    assert idle == []

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from dynlabel import (DynamicScheme, IncreasingScheme, Network,
+from dynlabel import (DynamicScheme, FiniteScheme, IncreasingScheme, Network,
                       PortAssignment, QuotaFunction)
 
 from _corpus import corpus
@@ -212,6 +212,34 @@ def test_misordered_children_fire(port_model):
     for msgs in (core.scan_invariants(), net.check_ports()):
         assert any(m.startswith(f"node {v}: ") and text in m
                    for m in msgs), msgs
+
+
+def test_scope_query_violation_is_reported_once():
+    """A bad scope read shows in the scan after its event, not again in
+    the scans after later events."""
+    net = Network()
+    s = FiniteScheme(net, "distance", quota=50, levels=3, verify_scopes=True)
+    for _ in range(6):
+        s.add_leaf(0)
+    s.core.states[0].watermark[1] -= 1
+    s.add_leaf(0)
+    first = [m for m in s.scan_invariants() if m.startswith("scope query")]
+    assert first and first[0].startswith("scope query at node 0 level 1")
+    s.add_leaf(0)
+    assert not set(first) & set(s.scan_invariants())
+
+
+def test_scope_query_violation_is_reported_by_a_finished_scheme():
+    net = Network()
+    s = FiniteScheme(net, "distance", quota=2, levels=2, verify_scopes=True)
+    for _ in range(3):
+        s.add_leaf(0)
+    s.core.states[0].watermark[1] -= 1
+    s.add_leaf(0)                     # fills the top quota
+    assert s.finished
+    msgs = s.scan_invariants()
+    assert [m for m in msgs if m.startswith("scope query at node 0 level 1")]
+    assert s.scan_invariants() == []
 
 
 def test_corpus_messages_match_the_recorded_ones():
