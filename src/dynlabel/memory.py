@@ -32,12 +32,15 @@ def int_bits(x: int) -> int:
     return 1 + max(1, abs(x).bit_length())
 
 
-def _counter_list_bits(xs) -> int:
-    return sum(int_bits(x) for x in xs)
+def counter_list_bits(xs: list) -> int:
+    """``int_bits`` summed over xs: a bit each, plus each magnitude's
+    bit length, a zero counting one."""
+    return len(xs) + xs.count(0) + sum(map(int.bit_length, map(abs, xs)))
 
 
-def _slot_list_bits(xs) -> int:
-    return sum(1 if x is None else 1 + int_bits(x) for x in xs)
+def slot_list_bits(xs: list) -> int:
+    """A presence bit per slot, plus ``int_bits`` of each filled one."""
+    return len(xs) + counter_list_bits([x for x in xs if x is not None])
 
 
 # -- sibling order helpers ---------------------------------------------------
@@ -97,7 +100,7 @@ class DesignerBookkeeping:
             :self.engine.states[v].watermark[level]]
 
     def memory_bits(self, v):
-        return _counter_list_bits(
+        return counter_list_bits(
             self.engine.states[v].watermark[1:self.engine.levels])
 
     def check(self, flag) -> list[str]:
@@ -256,10 +259,10 @@ class AdversaryBookkeeping:
     def memory_bits(self, v):
         st = self.engine.states[v]
         lv = self.engine.levels
-        n = _counter_list_bits(st.scoped_count[1:lv])
-        n += _slot_list_bits(st.slot_table[1:lv])
+        n = counter_list_bits(st.scoped_count[1:lv])
+        n += slot_list_bits(st.slot_table[1:lv])
         if self.engine.deletions:
-            n += _slot_list_bits(st.slot_backref[1:lv])
+            n += slot_list_bits(st.slot_backref[1:lv])
         return n
 
     def check(self, flag) -> list[str]:
@@ -323,9 +326,9 @@ def take_snapshot(state) -> dict:
 def snapshot_bits(snap) -> int:
     n = int_bits(snap["top_scope"])
     for f in ("tally", "ever_share", "watermark", "scoped_count"):
-        n += _counter_list_bits(snap[f])
+        n += counter_list_bits(snap[f])
     for f in ("slot_table", "slot_backref"):
-        n += _slot_list_bits(snap[f])
+        n += slot_list_bits(snap[f])
     return n
 
 

@@ -29,7 +29,7 @@ from operator import add
 from . import bits
 from .functions import get_function
 from .memory import (AdversaryBookkeeping, BackupStore, DesignerBookkeeping,
-                     int_bits)
+                     counter_list_bits, int_bits)
 from .simnet import InvalidEvent, PortAssignment
 from .static_schemes import DecodeError, scheme_for
 
@@ -331,31 +331,38 @@ class SchemeCore:
     # -- labels and decoding ------------------------------------------------
 
     def _anchors(self, w: int):
-        anchors = [None] * (self.levels + 1)
+        """anchors[l] is the nearest ancestor-or-self of w that roots a
+        level-l scope (its ``top_scope`` clamped to levels is >= l)."""
+        levels = self.levels
+        states = self.states
+        parent = self.net.parent
+        anchors = [None] * (levels + 1)
         filled = 0
         x = w
         while True:
-            t = min(self.states[x].top_scope, self.levels)
+            t = states[x].top_scope
             if t > filled:
-                for l in range(filled + 1, t + 1):
-                    anchors[l] = x
+                if t > levels:
+                    t = levels
+                anchors[filled + 1:t + 1] = [x] * (t - filled)
                 filled = t
-            if filled >= self.levels:
+            if filled >= levels:
                 return anchors
-            x = self.net.parent[x]
+            x = parent[x]
             if x is None:
                 raise SchemeError("root is not flagged at the top level")
 
     def label(self, w: int):
-        if not self.net.is_alive(w):
+        if not self.net.alive.get(w, False):
             raise SchemeError(f"node {w} is not alive")
         anchors = self._anchors(w)
-        st = self.states[w]
-        lab = ("L", st.statics[1])
+        states = self.states
+        st = states[w]
+        statics, links = st.statics, st.links
+        lab = ("L", statics[1])
         for l in range(2, self.levels + 1):
-            if self.states[anchors[l]].tally[l] >= 1:
-                lab = ("N", self.states[anchors[l - 1]].statics[l],
-                       st.links[l], lab)
+            if states[anchors[l]].tally[l] >= 1:
+                lab = ("N", states[anchors[l - 1]].statics[l], links[l], lab)
         return lab
 
     def query(self, u: int, v: int):
@@ -384,8 +391,8 @@ class SchemeCore:
     def memory_bits(self, v: int) -> int:
         st = self.states[v]
         n = self.levels + int_bits(self.net.depth[v])
-        n += sum(int_bits(x) for x in st.tally[1:])
-        n += sum(int_bits(x) for x in st.ever_share[1:])
+        n += counter_list_bits(st.tally[1:])
+        n += counter_list_bits(st.ever_share[1:])
         n += self.bookkeeping.memory_bits(v)
         p = self.net.parent[v]
         if p is not None:

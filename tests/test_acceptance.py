@@ -8,6 +8,7 @@ fully seeded, so reruns are bit-stable.
 import itertools
 import math
 import multiprocessing
+import os
 import random
 import time
 
@@ -50,10 +51,16 @@ def _run_worker(kwargs):
     }
 
 
+# A worker that dies (killed for memory, say) leaves Pool.map waiting
+# forever; a grid fails after this many seconds instead.
+POOL_TIMEOUT_S = 3600
+
+
 def _pool_map(worker, jobs):
+    # one worker per CPU this process may run on, not per CPU of the host
     ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes=max(2, multiprocessing.cpu_count())) as pool:
-        return pool.map(worker, jobs, chunksize=1)
+    with ctx.Pool(processes=max(2, len(os.sched_getaffinity(0)))) as pool:
+        return pool.map_async(worker, jobs, chunksize=1).get(POOL_TIMEOUT_S)
 
 
 @pytest.fixture(scope="session")
