@@ -11,6 +11,7 @@ run recorded any mismatch, invariant violation or bound violation.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .dynamic import QuotaFunction
@@ -32,6 +33,20 @@ def _scenario_file(path: str) -> str:
             parse_scenario(fh.read())
     except (OSError, ValueError) as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+    return path
+
+
+def _output_file(path: str) -> str:
+    """A path the run can write its output to once it ends: checked up
+    front so that a long run does not end in a failed open."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"{path} is a directory")
+    if not os.path.isdir(folder):
+        raise argparse.ArgumentTypeError(f"no such directory: {folder}")
+    if not os.access(folder, os.W_OK | os.X_OK) or (
+            os.path.exists(path) and not os.access(path, os.W_OK)):
+        raise argparse.ArgumentTypeError(f"cannot write {path}")
     return path
 
 
@@ -64,14 +79,16 @@ def _build_parser():
     p.add_argument("--port-cap", type=int, default=DEFAULT_PORT_CAP)
     p.add_argument("--scenario", type=_scenario_file,
                    help="replay this scenario file")
-    p.add_argument("--out", help="write the per-event metrics CSV here")
-    p.add_argument("--mem-out", help="write the final memory report CSV here")
+    p.add_argument("--out", type=_output_file,
+                   help="write the per-event metrics CSV here")
+    p.add_argument("--mem-out", type=_output_file,
+                   help="write the final memory report CSV here")
 
     g = sub.add_parser("gen", help="write a random scenario file")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--events", type=int, default=100)
     g.add_argument("--pdelete", type=float, default=0.0)
-    g.add_argument("--out", required=True)
+    g.add_argument("--out", type=_output_file, required=True)
     return parser
 
 

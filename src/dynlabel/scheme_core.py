@@ -20,6 +20,12 @@ bottoming out at the node's own static label from its latest level-1
 reset.  The decoder recurses while the outer static parts match and
 otherwise combines the two stored values with the static decoder's
 answer for the two scope roots.
+
+Labels are kept state.  Every write that can change a node's label or
+anchor row (its nearest scope root per level) marks the node dirty, and
+the flush that ends each event rebuilds the row of each dirty node from
+its parent's and assembles its label once from the row.  Queries read
+the stored labels.
 """
 
 from __future__ import annotations
@@ -95,6 +101,12 @@ class SchemeCore:
         self.last_reset_count = None
         self.violations: list[str] = []
         self._dirty: set[int] = set()    # label or memory changed this event
+        # alive node -> its anchor row: entry l is the nearest
+        # ancestor-or-self rooting a level-l scope (entry 0 unused).
+        # Rows are replaced, never mutated, so a node whose own flag is 0
+        # shares its parent's list.
+        self._anchor_rows: dict[int, list] = {}
+        self.labels: dict = {}           # alive node -> assembled label
         net.on_add(self._joined)
         net.on_remove(self._leaving)
 
@@ -193,7 +205,7 @@ class SchemeCore:
         edge = self.fn.edge_value(net, parent, child)
         for l in range(2, self.levels + 1):
             st.links[l] = self.fn.compose(pst.links[l], edge)
-        anchors = self._anchors(parent)
+        anchors = self._anchor_rows[parent]
         for l in range(1, self.levels + 1):
             self.states[anchors[l]].ever_count[l] += 1
         self.joins += 1
@@ -216,6 +228,8 @@ class SchemeCore:
         self.bookkeeping.on_child_removed(parent, leaf, snap)
         self.backups.on_child_removed(parent, leaf)
         del self.states[leaf]
+        del self._anchor_rows[leaf]
+        del self.labels[leaf]
         self._dirty.add(parent)
         self._dirty.discard(leaf)
 
@@ -330,40 +344,12 @@ class SchemeCore:
 
     # -- labels and decoding ------------------------------------------------
 
-    def _anchors(self, w: int):
-        """anchors[l] is the nearest ancestor-or-self of w that roots a
-        level-l scope (its ``top_scope`` clamped to levels is >= l)."""
-        levels = self.levels
-        states = self.states
-        parent = self.net.parent
-        anchors = [None] * (levels + 1)
-        filled = 0
-        x = w
-        while True:
-            t = states[x].top_scope
-            if t > filled:
-                if t > levels:
-                    t = levels
-                anchors[filled + 1:t + 1] = [x] * (t - filled)
-                filled = t
-            if filled >= levels:
-                return anchors
-            x = parent[x]
-            if x is None:
-                raise SchemeError("root is not flagged at the top level")
-
     def label(self, w: int):
-        if not self.net.alive.get(w, False):
-            raise SchemeError(f"node {w} is not alive")
-        anchors = self._anchors(w)
-        states = self.states
-        st = states[w]
-        statics, links = st.statics, st.links
-        lab = ("L", statics[1])
-        for l in range(2, self.levels + 1):
-            if states[anchors[l]].tally[l] >= 1:
-                lab = ("N", states[anchors[l - 1]].statics[l], links[l], lab)
-        return lab
+        """w's label as the last flush assembled it."""
+        try:
+            return self.labels[w]
+        except KeyError:
+            raise SchemeError(f"node {w} is not alive") from None
 
     def query(self, u: int, v: int):
         return decode_labels(self.fn, self.pi, self.label(u), self.label(v))
@@ -374,8 +360,14 @@ class SchemeCore:
         self._dirty.update(nodes)
 
     def _flush_event(self) -> None:
-        """Refresh the backup of every node the event changed, then size
-        each one's label and memory (with the copies it now holds)."""
+        """Refresh the backup of every node the event changed, then its
+        anchor row and label, and size its label and memory (with the
+        copies it now holds).
+
+        A node's row is its own id up to its scope flag and its parent's
+        row above.  Dirty nodes go in id order and ``Network.add_leaf``
+        hands out increasing ids, so a dirty parent's row is refreshed
+        before its children's rows are built from it."""
         net = self.net
         dirty = sorted(filter(net.is_alive, self._dirty))
         self._dirty.clear()
@@ -383,10 +375,38 @@ class SchemeCore:
             for x in dirty:
                 if x != net.root:
                     self.backups.refresh(x)
+        fn, ledger = self.fn, net.ledger
         for x in dirty:
-            net.ledger.note_label_bits(
-                dynamic_label_bits(self.fn, self.label(x)))
-            net.ledger.note_memory_bits(self.memory_bits(x))
+            lab = self._refresh_label(x)
+            ledger.note_label_bits(dynamic_label_bits(fn, lab))
+            ledger.note_memory_bits(self.memory_bits(x))
+
+    def _refresh_label(self, x: int):
+        """Rebuild x's anchor row from its parent's and assemble its
+        label from the row; store both and return the label."""
+        levels, states = self.levels, self.states
+        rows = self._anchor_rows
+        st = states[x]
+        t = st.top_scope
+        if t > levels:
+            t = levels
+        p = self.net.parent[x]
+        if p is None:
+            if t < levels:
+                raise SchemeError("root is not flagged at the top level")
+            row = [None] + [x] * levels
+        elif t <= 0:
+            row = rows[p]
+        else:
+            row = [None] + [x] * t + rows[p][t + 1:]
+        rows[x] = row
+        statics, links = st.statics, st.links
+        lab = ("L", statics[1])
+        for l in range(2, levels + 1):
+            if states[row[l]].tally[l] >= 1:
+                lab = ("N", states[row[l - 1]].statics[l], links[l], lab)
+        self.labels[x] = lab
+        return lab
 
     def memory_bits(self, v: int) -> int:
         st = self.states[v]

@@ -63,3 +63,52 @@ def scope_of(net, root, members):
     members = set(members)
     order = [root] + sorted(members - {root})
     return {v: [c for c in net.children[v] if c in members] for v in order}
+
+
+def walk_anchors(core, w):
+    """Reference anchor row of w by a walk to the root: entry l is the
+    nearest ancestor-or-self that roots a level-l scope (its
+    ``top_scope`` clamped to levels is >= l)."""
+    levels, states, parent = core.levels, core.states, core.net.parent
+    anchors = [None] * (levels + 1)
+    filled = 0
+    x = w
+    while filled < levels:
+        if x is None:
+            raise AssertionError("root is not flagged at the top level")
+        t = states[x].top_scope
+        if t > filled:
+            t = min(t, levels)
+            anchors[filled + 1:t + 1] = [x] * (t - filled)
+            filled = t
+        x = parent[x]
+    return anchors
+
+
+def walk_label(core, w, anchors):
+    """Reference label of w, assembled from its walked anchor row."""
+    states = core.states
+    st = states[w]
+    lab = ("L", st.statics[1])
+    for l in range(2, core.levels + 1):
+        if states[anchors[l]].tally[l] >= 1:
+            lab = ("N", states[anchors[l - 1]].statics[l], st.links[l], lab)
+    return lab
+
+
+def stale_labels(core):
+    """Alive nodes whose stored anchor row or label differs from the
+    walk reference, after any mismatch of the stored keys with the
+    alive set."""
+    alive = set(core.net.alive_nodes())
+    out = [(name, sorted(set(stored) ^ alive))
+           for name, stored in (("labels", core.labels),
+                                ("rows", core._anchor_rows))]
+    out = [entry for entry in out if entry[1]]
+    for w in sorted(alive & core.labels.keys() & core._anchor_rows.keys()):
+        anchors = walk_anchors(core, w)
+        if core._anchor_rows[w] != anchors:
+            out.append(("row", w))
+        if core.labels[w] != walk_label(core, w, anchors):
+            out.append(("label", w))
+    return out

@@ -1,7 +1,8 @@
 """Random event streams, valid or not, through the scheme drivers: only
 the run's recorded errors escape, a rejected event changes nothing,
-every node's children stay listed in port order, and every backup copy
-sits where the placement rule puts it."""
+every node's children stay listed in port order, every backup copy
+sits where the placement rule puts it, and every stored label and
+anchor row matches a walk to the root."""
 
 import pickle
 import random
@@ -12,6 +13,8 @@ from dynlabel import (DynamicScheme, IncreasingScheme, Network,
                       PortAssignment, QuotaFunction)
 from dynlabel.harness import RUN_ERRORS
 from dynlabel.simnet import ScenarioEvent
+
+from _util import stale_labels
 
 NETWORKS = [(PortAssignment.COMPACT, 1 << 20),
             (PortAssignment.STABLE, 1 << 20),
@@ -43,6 +46,7 @@ def _state(scheme):
     net = scheme.net
     return pickle.dumps((net.parent, net.children, net.ports, net.port_to,
                          net.alive, net.next_id, scheme.core.states,
+                         scheme.core.labels, scheme.core._anchor_rows,
                          scheme.core.backups and scheme.core.backups.copies,
                          net.ledger.messages_total))
 
@@ -86,5 +90,7 @@ def test_event_streams_keep_the_state_sound(network, model, seed, events):
             got = list(map(net.port_to[v].__getitem__, net.children[v]))
             assert got == sorted(got)
         assert net.check_ports() == []
+        assert scheme.core.labels.keys() == set(net.alive_list)
+        assert stale_labels(scheme.core) == []
         if scheme.core.backups is not None:
             assert _backup_faults(net, scheme.core.backups.copies) == ([], [])

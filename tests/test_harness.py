@@ -315,3 +315,27 @@ def test_cli_rejects_stream_parameters_no_scenario_has(tmp_path, capsys):
         assert stop.value.code == 2, argv
         assert message in capsys.readouterr().err, argv
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["run", "--events", "20", "--out"], "--out"),
+    (["run", "--events", "20", "--mem-out"], "--mem-out"),
+    (["gen", "--events", "20", "--out"], "--out"),
+])
+def test_cli_rejects_an_output_path_it_cannot_write(monkeypatch, tmp_path,
+                                                    capsys, argv, flag):
+    """A bad output path is a usage error before any scenario is drawn
+    or run, not a traceback after the run."""
+    import dynlabel.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("ran before checking the output path")
+    monkeypatch.setattr(cli, "run", never)
+    monkeypatch.setattr(cli, "generate_scenario", never)
+    plain = tmp_path / "plain.txt"
+    plain.write_text("")
+    for path in (tmp_path / "absent" / "x.csv", tmp_path, plain / "x.csv"):
+        with pytest.raises(SystemExit) as stop:
+            cli_main(argv + [str(path)])
+        assert stop.value.code == 2, path
+        assert f"argument {flag}" in capsys.readouterr().err, path

@@ -3,16 +3,18 @@ import random
 
 import pytest
 
-from dynlabel import (DynamicScheme, FiniteScheme, Network, PortAssignment,
-                      QuotaFunction, bits, decode_labels, decode_dynamic_label,
+from dynlabel import (DynamicScheme, FiniteScheme, IncreasingScheme, Network,
+                      PortAssignment, QuotaFunction, RunConfig, bits,
+                      decode_labels, decode_dynamic_label,
                       dynamic_label_bits, encode_dynamic_label,
-                      generate_scenario, get_function, scheme_for)
+                      generate_scenario, get_function, run, scheme_for)
 from dynlabel import static_schemes
+from dynlabel.harness import RUN_ERRORS
 from dynlabel.scheme_core import SchemeCore, SchemeError
 from dynlabel.simnet import InvalidEvent
 from dynlabel.static_schemes import DecodeError
 
-from _util import build_net, grow_random, scope_of
+from _util import build_net, grow_random, scope_of, stale_labels
 
 
 def _label_depth(lab):
@@ -374,3 +376,77 @@ def test_static_labels_are_sized_once_when_built(monkeypatch, name):
     assert s.restart_log and sum(built) > 300
     assert len(sized) == sum(built)
     assert not any(sized)
+
+
+def _checked_flushes(monkeypatch):
+    """Compare every stored label and anchor row with a walk to the
+    root after every flush; returns the list of flushes checked."""
+    real = SchemeCore._flush_event
+    checked = []
+
+    def flush(core):
+        real(core)
+        assert stale_labels(core) == []
+        checked.append(core.net.alive_count)
+    monkeypatch.setattr(SchemeCore, "_flush_event", flush)
+    return checked
+
+
+@pytest.mark.parametrize("function", ["ancestry", "distance", "seplevel",
+                                      "routing"])
+def test_stored_labels_match_a_walk_over_real_runs(monkeypatch, function):
+    checked = _checked_flushes(monkeypatch)
+    for model, p_delete in (("increasing", 0.0), ("dynamic", 0.3)):
+        for port_model in ("designer", "adversary"):
+            r = run(RunConfig(seed=1, events=200, model=model,
+                              p_delete=p_delete, port_model=port_model,
+                              function=function, verify="sampled:4"))
+            assert r.passed(), (model, port_model)
+    assert len(checked) >= 4 * 200
+
+
+def test_stored_labels_match_a_walk_on_a_chain(monkeypatch):
+    checked = _checked_flushes(monkeypatch)
+    net = Network()
+    s = IncreasingScheme(net, "distance", QuotaFunction.parse("pow:0.5"))
+    last = 0
+    for _ in range(400):
+        last = s.add_leaf(last)
+    assert checked[-1] == 401 and s.phase_log
+
+
+def test_labels_are_assembled_once_per_dirty_node_at_flush(monkeypatch):
+    """Labels are built only while a flush runs, once for each alive node
+    the event marked; queries and oracle checks only read them."""
+    flush, refresh = SchemeCore._flush_event, SchemeCore._refresh_label
+    open_flushes, outside, sizes = [], [], []
+
+    def flushing(core):
+        want = sorted(filter(core.net.is_alive, core._dirty))
+        open_flushes.append([])
+        flush(core)
+        assert open_flushes.pop() == want
+        sizes.append(len(want))
+
+    def refreshing(core, x):
+        (open_flushes[-1] if open_flushes else outside).append(x)
+        return refresh(core, x)
+    monkeypatch.setattr(SchemeCore, "_flush_event", flushing)
+    monkeypatch.setattr(SchemeCore, "_refresh_label", refreshing)
+    for verify, events in (("sampled:64", 300), ("exhaustive", 120)):
+        r = run(RunConfig(seed=3, events=events, model="dynamic",
+                          p_delete=0.3, function="distance", verify=verify))
+        assert r.passed() and r.queries_checked > events
+    assert outside == [] and sum(sizes) > 300
+
+
+def test_a_removed_leaf_has_no_label():
+    net = Network()
+    s = DynamicScheme(net, "distance", QuotaFunction.parse("pow:0.5"))
+    grow_random(s, net, random.Random(5), 20)
+    leaf = next(v for v in net.alive_list if v != net.root and net.is_leaf(v))
+    s.remove_leaf(leaf)
+    for w in (leaf, net.next_id):
+        with pytest.raises(SchemeError, match="not alive"):
+            s.label(w)
+    assert issubclass(SchemeError, RUN_ERRORS)
