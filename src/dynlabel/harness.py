@@ -274,6 +274,9 @@ class _BoundTracker:
         return self.epoch_n0 + (self.runner.core.joins - self.epoch_base_joins)
 
     def after_event(self, event_index, report) -> None:
+        """Check the epoch's messages and the labels after an event; a
+        restart opens a new epoch, and its own labels are checked against
+        the new epoch's curve."""
         ledger = self.net.ledger
         restarts = self.runner.restart_log
         if len(restarts) > self.restarts_seen:
@@ -281,18 +284,19 @@ class _BoundTracker:
             self.epoch_base_messages = ledger.protocol_messages()
             self.epoch_base_joins = self.runner.core.joins
             self.epoch_n0 = restarts[-1][1]
-            return
-        self.max_levels = max(self.max_levels, self.runner.levels)
-        ever = self._epoch_ever()
-        spent = ledger.protocol_messages() - self.epoch_base_messages
-        allowed = budgets.finite_run_message_budget(
-            self.runner.quota, self.runner.levels,
-            budgets.marker_message_budget(ever))
-        if spent > allowed:
-            report.bound_violations.append(
-                f"event {event_index}: protocol messages {spent} exceed "
-                f"budget {allowed} (quota {self.runner.quota}, levels "
-                f"{self.runner.levels}, count {ever})")
+            ever = self._epoch_ever()
+        else:
+            self.max_levels = max(self.max_levels, self.runner.levels)
+            ever = self._epoch_ever()
+            spent = ledger.protocol_messages() - self.epoch_base_messages
+            allowed = budgets.finite_run_message_budget(
+                self.runner.quota, self.runner.levels,
+                budgets.marker_message_budget(ever))
+            if spent > allowed:
+                report.bound_violations.append(
+                    f"event {event_index}: protocol messages {spent} exceed "
+                    f"budget {allowed} (quota {self.runner.quota}, levels "
+                    f"{self.runner.levels}, count {ever})")
         label_budget = budgets.dynamic_label_budget(
             self.pi.ls_budget(ever, self.port_bits), self.runner.levels)
         if ledger.max_label_bits > label_budget:

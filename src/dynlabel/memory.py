@@ -23,6 +23,8 @@ child joins, until that child's memory next changes (``BackupStore``).
 
 from __future__ import annotations
 
+from itertools import compress
+
 
 class MemoryError_(RuntimeError):
     pass
@@ -107,27 +109,34 @@ class DesignerBookkeeping:
         """Watermarks against the ground scopes at every node of
         ``flag``, which maps nodes to their scope flag (``top_scope``
         clamped to 0..levels); a child is inside its parent's level-l
-        scope when its flag is below l."""
+        scope when its flag is below l.
+
+        Only hosts (see ``_hosts``) have a scoped child, so every other
+        node must hold all-zero watermarks, one list comparison each
+        (the unused slots, 0 and the top level, stay 0).  Per-level
+        comparisons run at hosts and at nodes failing that test."""
         engine = self.engine
         levels = engine.levels
         states, port_to = engine.states, engine.net.port_to
         children = engine.net.children
+        hosts = _hosts(flag, engine.net.parent, levels)
+        zero = [0] * (levels + 1)
         out = []
-        for v in flag:
-            order = children[v]
+        for v in [v for v in flag
+                  if v in hosts or states[v].watermark != zero]:
             watermark = states[v].watermark
-            if not order and not any(watermark[1:levels]):
-                continue
-            pt = port_to[v]
+            joins = _scope_joins(children[v], port_to[v], flag, levels)
+            want = set()
             for l in range(1, levels):
-                if watermark[l] < 0:
+                want.update(joins[l])
+                m = watermark[l]
+                if m < 0:
                     out.append(f"designer watermark at node {v} level {l}: "
-                               f"{watermark[l]} < 0")
-                got = set(range(1, watermark[l] + 1))
-                want = {pt[c] for c in order if flag[c] < l}
-                if got != want:
+                               f"{m} < 0")
+                got = range(1, m + 1)
+                if len(got) != len(want) or not want.issuperset(got):
                     out.append(f"designer watermark at node {v} level {l}: "
-                               f"{sorted(got)} != {sorted(want)}")
+                               f"{list(got)} != {sorted(want)}")
         return out
 
 
@@ -269,36 +278,58 @@ class AdversaryBookkeeping:
         """Counts, tables and back-references against the ground scopes
         at every node of ``flag``, which maps nodes to their scope flag
         (``top_scope`` clamped to 0..levels); a child is inside its
-        parent's level-l scope when its flag is below l."""
+        parent's level-l scope when its flag is below l.
+
+        Only hosts (see ``_hosts``) have a scoped child, so every other
+        node must hold all-zero counts and its children no
+        back-references, one list comparison each (the unused slots, 0
+        and the top level, stay empty).  Per-level comparisons run at
+        hosts and at nodes failing that test, and read the
+        back-references of scoped children and of children holding
+        one."""
         engine = self.engine
         levels = engine.levels
         states, net = engine.states, engine.net
         children = net.children
         backrefs = engine.deletions
+        zero, empty = [0] * (levels + 1), [None] * (levels + 1)
+        todo = _hosts(flag, net.parent, levels)
+        if backrefs:
+            # the parents of children holding a back-reference
+            todo.update([net.parent.get(u) for u in flag
+                         if states[u].slot_backref != empty])
         out = []
-        for v in flag:
+        for v in [v for v in flag
+                  if v in todo or states[v].scoped_count != zero]:
             order = children[v]
             scoped_count = states[v].scoped_count
-            if not order and not any(scoped_count[1:levels]):
-                continue
             ports, pt = net.ports[v], net.port_to[v]
-            rows = [(u, pt[u], states[u]) for u in order]
+            if not backrefs:
+                kids = ()
+            elif len(set(map(pt.__getitem__, order))) < len(order):
+                kids = order      # a shared port may be in scope for both
+            else:
+                # any other child is outside every lower scope with no
+                # back-reference, as it should be
+                kids = [u for u in order if flag[u] < levels - 1
+                        or states[u].slot_backref != empty]
+            joins = _scope_joins(order, pt, flag, levels)
+            want = set()
             for l in range(1, levels):
-                want = {p for u, p, _ in rows if flag[u] < l}
+                want.update(joins[l])
                 c = scoped_count[l]
                 if c != len(want):
                     out.append(f"adversary count at node {v} level {l}: "
                                f"{c} != {len(want)}")
                     continue
-                got = {st.slot_table[l] for _, _, st in rows[:c]}
+                got = {states[u].slot_table[l] for u in order[:c]}
                 if got != want:
                     out.append(f"adversary tables at node {v} level {l}: "
                                f"{sorted(map(str, got))} != "
                                f"{sorted(map(str, want))}")
-                if not backrefs:
-                    continue
-                for u, p, st in rows:
-                    ref = st.slot_backref[l]
+                for u in kids:
+                    p = pt[u]
+                    ref = states[u].slot_backref[l]
                     if (ref is None) != (p not in want):
                         out.append(f"adversary backref presence at node {v} "
                                    f"level {l} child {u}")
@@ -308,6 +339,24 @@ class AdversaryBookkeeping:
                             out.append(f"adversary backref target at node "
                                        f"{v} level {l} child {u}")
         return out
+
+
+def _hosts(flag, parent, levels) -> set:
+    """The nodes of ``flag`` holding a child inside one of their lower
+    scopes: the parents of nodes flagged below ``levels - 1``."""
+    return {parent[v] for v, t in flag.items() if t < levels - 1}
+
+
+def _scope_joins(order, pt, flag, levels) -> list:
+    """Entry l, for 1 <= l < levels: the ports of the children flagged
+    l - 1, which join the level-l scope and stay in every higher one, so
+    the scope's ports are the union of entries 1..l."""
+    joins = [[] for _ in range(levels)]
+    for c in order:
+        t = flag[c]
+        if t < levels - 1:
+            joins[t + 1].append(pt[c])
+    return joins
 
 
 # -- backup copies -----------------------------------------------------------
@@ -411,21 +460,24 @@ class BackupStore:
         return sum(snapshot_bits(s) for s in self.copies.get(holder, {}).values())
 
     def check(self) -> list[str]:
+        """Every child's copy must sit at its parent or at its next
+        sibling in cyclic port order.  Leaves are skipped all at once,
+        and each sibling list is read in one pass with no copies of
+        it."""
         out = []
         net = self.engine.net
         children = net.children
         copies = self.copies
         none = {}
-        for v in net.alive_list:
+        nodes = net.alive_list
+        for v in compress(nodes, map(children.__getitem__, nodes)):
             order = children[v]
-            if not order:
-                continue
             here = copies.get(v, none)
-            # each child's copy sits at v or at its next sibling in
-            # cyclic port order
-            for u, nxt in zip(order, order[1:] + order[:1]):
+            u = order[-1]           # each child u before its next one
+            for nxt in order:
                 if u not in here and u not in copies.get(nxt, none):
                     out.append(f"no copy of child {u} at {v} or {nxt}")
+                u = nxt
         alive = net.alive
         if (not all(map(alive.get, copies))
                 or max(map(len, copies.values()), default=0) > 2):

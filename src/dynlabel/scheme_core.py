@@ -30,8 +30,6 @@ the stored labels.
 
 from __future__ import annotations
 
-from operator import add
-
 from . import bits
 from .functions import get_function
 from .memory import (AdversaryBookkeeping, BackupStore, DesignerBookkeeping,
@@ -431,6 +429,11 @@ class SchemeCore:
         every level.  The port, ever-share, bookkeeping and backup
         checks work from those flags and from the children lists, which
         the network keeps in port order.
+
+        Cost: the walk, then one pass over the nodes per check; per-level
+        comparisons run only at hosts, the nodes with a child flagged
+        below ``levels - 1`` (see ``memory._hosts``), and messages are
+        worded only for faults.
         """
         net = self.net
         root = net.root
@@ -477,16 +480,16 @@ class SchemeCore:
         """Per scope, the members' ever-shares must sum to the root's
         ever-count.  ``flag`` lists the reachable nodes with their scope
         flags, parents before children; sums are accumulated bottom-up,
-        a node passing on the levels above its own flag."""
+        a node adding only the levels above its own flag into its
+        parent's running total, which starts as a copy of the parent's
+        ever-shares."""
         states = self.states
         parent = self.net.parent
         levels = self.levels
-        acc = {}
+        acc = {}     # node -> its ever-shares plus its children's parts
         out = []
         for v, t in reversed(flag.items()):
-            total = states[v].ever_share
-            if v in acc:
-                total = list(map(add, acc.pop(v), total))
+            total = acc.pop(v, None) or states[v].ever_share
             if t:
                 want = states[v].ever_count
                 if total[1:t + 1] != want[1:t + 1]:
@@ -496,9 +499,15 @@ class SchemeCore:
                                if total[l] != want[l])
                 if t == levels:
                     continue
-                total = [0] * (t + 1) + total[t + 1:]
             p = parent[v]
-            acc[p] = list(map(add, acc[p], total)) if p in acc else total
+            into = acc.get(p)
+            if into is None:
+                into = acc[p] = states[p].ever_share.copy()
+            if t == levels - 1:     # most nodes: the top level alone
+                into[levels] += total[levels]
+            else:
+                for l in range(t + 1, levels + 1):
+                    into[l] += total[l]
         return out
 
 

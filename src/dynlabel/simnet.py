@@ -25,7 +25,7 @@ import csv
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, repeat
+from itertools import chain
 from operator import ge
 
 
@@ -330,35 +330,34 @@ class Network:
         when omitted): ``ports`` and ``port_to`` must be inverse maps and
         children must be listed in port order; compact children must
         hold ports 1..#children and adversary ports must lie in
-        0..port_cap."""
+        0..port_cap.
+
+        One pass over the nodes tests each one's maps in place; message
+        strings are built only at faults."""
         if nodes is None:
             nodes = self.alive_list
-        pvs = list(map(self.ports.__getitem__, nodes))
-        pts = list(map(self.port_to.__getitem__, nodes))
-        bad = []
-        # inverse maps: equal sizes and ports[v][port_to[v][w]] == w for
-        # every entry, tested over all nodes at once
-        sizes = list(map(len, pts))
-        back = map(dict.get, chain.from_iterable(map(repeat, pvs, sizes)),
-                   chain.from_iterable(map(dict.values, pts)))
-        if (list(map(len, pvs)) != sizes
-                or list(back) != list(chain.from_iterable(pts))):
-            for v, pv, pt in zip(nodes, pvs, pts):
-                if len(pv) != len(pt) or any(pv.get(q) != w
-                                             for w, q in pt.items()):
-                    bad.append(f"node {v}: ports {sorted(pv.items())} and "
-                               f"port_to {sorted(pt.items())} are not "
-                               f"inverse")
+        ports, port_to, children = self.ports, self.port_to, self.children
         compact = self.assignment is PortAssignment.COMPACT
-        for v, pt in zip(nodes, pts):
-            kids = self.children[v]
+        bad = []
+        for v in nodes:
+            pv, pt = ports[v], port_to[v]
+            inverse = len(pv) == len(pt)
+            if inverse:
+                for w, q in pt.items():
+                    if pv.get(q) != w:
+                        inverse = False
+                        break
+            if not inverse:
+                bad.append(f"node {v}: ports {sorted(pv.items())} and "
+                           f"port_to {sorted(pt.items())} are not inverse")
+            kids = children[v]
             if compact:
-                if not kids:
-                    continue
-                got = [pt[c] for c in kids]
-                if got != list(range(1, len(kids) + 1)):
-                    bad.append(f"node {v}: compact child ports {got} "
-                               f"are not 1..{len(kids)}")
+                for i, c in enumerate(kids, 1):
+                    if pt[c] != i:
+                        got = [pt[c] for c in kids]
+                        bad.append(f"node {v}: compact child ports {got} "
+                                   f"are not 1..{len(kids)}")
+                        break
             elif len(kids) > 1:
                 got = list(map(pt.__getitem__, kids))
                 if any(map(ge, got, got[1:])):
@@ -366,9 +365,10 @@ class Network:
                                f"port order")
         if self.assignment is PortAssignment.ADVERSARY:
             cap = self.port_cap
-            used = list(chain.from_iterable(pvs))
+            used = list(chain.from_iterable(map(ports.__getitem__, nodes)))
             if used and (min(used) < 0 or max(used) > cap):
-                for v, pv in zip(nodes, pvs):
+                for v in nodes:
+                    pv = ports[v]
                     if pv and (min(pv) < 0 or max(pv) > cap):
                         bad.append(f"node {v}: adversary ports {sorted(pv)} "
                                    f"exceed 0..{cap}")

@@ -112,3 +112,153 @@ def stale_labels(core):
         if core.labels[w] != walk_label(core, w, anchors):
             out.append(("label", w))
     return out
+
+
+# -- reference scan checks ---------------------------------------------------
+#
+# Every node checked in full: the bookkeeping and ever-share checks level
+# by level, as the scan ran them before it confined per-level work to the
+# nodes holding a scoped child, and the port and backup checks node by
+# node and child by child.  The scan's checks must report what these
+# report.
+
+
+def scan_flags(core):
+    """Every node reachable from the root over the children lists, in
+    the scan's walk order (parents first), mapped to its scope flag:
+    ``top_scope`` clamped to 0..levels, the root at levels."""
+    levels, states, children = core.levels, core.states, core.net.children
+    root = core.net.root
+    flag = {root: levels}
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        for c in children[v]:
+            flag[c] = max(0, min(states[c].top_scope, levels))
+        stack.extend(children[v])
+    return flag
+
+
+def ref_designer_faults(core, flag):
+    """Watermarks against the scoped children, level by level."""
+    levels, states = core.levels, core.states
+    port_to, children = core.net.port_to, core.net.children
+    out = []
+    for v in flag:
+        order = children[v]
+        watermark = states[v].watermark
+        if not order and not any(watermark[1:levels]):
+            continue
+        pt = port_to[v]
+        for l in range(1, levels):
+            if watermark[l] < 0:
+                out.append(f"designer watermark at node {v} level {l}: "
+                           f"{watermark[l]} < 0")
+            got = set(range(1, watermark[l] + 1))
+            want = {pt[c] for c in order if flag[c] < l}
+            if got != want:
+                out.append(f"designer watermark at node {v} level {l}: "
+                           f"{sorted(got)} != {sorted(want)}")
+    return out
+
+
+def ref_adversary_faults(core, flag):
+    """Counts, tables and back-references against the scoped children,
+    level by level."""
+    levels, states, net = core.levels, core.states, core.net
+    out = []
+    for v in flag:
+        order = net.children[v]
+        scoped_count = states[v].scoped_count
+        if not order and not any(scoped_count[1:levels]):
+            continue
+        ports, pt = net.ports[v], net.port_to[v]
+        rows = [(u, pt[u], states[u]) for u in order]
+        for l in range(1, levels):
+            want = {p for u, p, _ in rows if flag[u] < l}
+            c = scoped_count[l]
+            if c != len(want):
+                out.append(f"adversary count at node {v} level {l}: "
+                           f"{c} != {len(want)}")
+                continue
+            got = {st.slot_table[l] for _, _, st in rows[:c]}
+            if got != want:
+                out.append(f"adversary tables at node {v} level {l}: "
+                           f"{sorted(map(str, got))} != "
+                           f"{sorted(map(str, want))}")
+            if not core.deletions:
+                continue
+            for u, p, st in rows:
+                ref = st.slot_backref[l]
+                if (ref is None) != (p not in want):
+                    out.append(f"adversary backref presence at node {v} "
+                               f"level {l} child {u}")
+                elif ref is not None:
+                    w = ports.get(ref)
+                    if w is None or states[w].slot_table[l] != p:
+                        out.append(f"adversary backref target at node "
+                                   f"{v} level {l} child {u}")
+    return out
+
+
+def ref_ever_share_faults(core, flag):
+    """Per scope, the members' ever-shares summed bottom-up against the
+    root's ever-count, one full-length running total per node."""
+    states, parent, levels = core.states, core.net.parent, core.levels
+    acc = {}
+    out = []
+    for v, t in reversed(flag.items()):
+        total = states[v].ever_share
+        if v in acc:
+            total = [a + b for a, b in zip(acc.pop(v), total)]
+        if t:
+            want = states[v].ever_count
+            out.extend(f"ever-share sum of level-{l} scope at {v}: "
+                       f"{total[l]} != {want[l]}"
+                       for l in range(1, t + 1) if total[l] != want[l])
+            if t == levels:
+                continue
+            total = [0] * (t + 1) + total[t + 1:]
+        p = parent[v]
+        acc[p] = ([a + b for a, b in zip(acc[p], total)] if p in acc
+                  else total)
+    return out
+
+
+def ref_port_faults(net):
+    """Port-map faults, node by node."""
+    bad = []
+    for v in net.alive_list:
+        pv, pt, kids = net.ports[v], net.port_to[v], net.children[v]
+        if len(pv) != len(pt) or any(pv.get(q) != w for w, q in pt.items()):
+            bad.append(f"node {v}: ports {sorted(pv.items())} and port_to "
+                       f"{sorted(pt.items())} are not inverse")
+        got = [pt[c] for c in kids]
+        if net.assignment is PortAssignment.COMPACT:
+            if got != list(range(1, len(kids) + 1)):
+                bad.append(f"node {v}: compact child ports {got} are not "
+                           f"1..{len(kids)}")
+        elif got != sorted(set(got)):
+            bad.append(f"node {v}: child ports {got} are not in port order")
+        if (net.assignment is PortAssignment.ADVERSARY and pv
+                and (min(pv) < 0 or max(pv) > net.port_cap)):
+            bad.append(f"node {v}: adversary ports {sorted(pv)} exceed "
+                       f"0..{net.port_cap}")
+    return bad
+
+
+def ref_backup_faults(store):
+    """Backup placement faults, child by child and holder by holder."""
+    net, copies = store.engine.net, store.copies
+    out = []
+    for v in net.alive_list:
+        order = net.children[v]
+        for u, nxt in zip(order, order[1:] + order[:1]):
+            if u not in copies.get(v, {}) and u not in copies.get(nxt, {}):
+                out.append(f"no copy of child {u} at {v} or {nxt}")
+    for holder, held in copies.items():
+        if held and not net.alive.get(holder, False):
+            out.append(f"dead node {holder} holds copies")
+        if len(held) > 2:
+            out.append(f"node {holder} holds {len(held)} copies")
+    return out

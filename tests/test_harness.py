@@ -165,6 +165,23 @@ def test_bound_checks_flag_budget_overruns(monkeypatch):
     assert r.bound_violations
 
 
+def test_label_bound_is_checked_on_a_restart_event(monkeypatch):
+    """A restart that leaves an oversized label is reported at the
+    restart event itself, not at the event after it."""
+    from dynlabel import DynamicScheme
+
+    def restart(runner, _restart=DynamicScheme._restart):
+        _restart(runner)
+        runner.net.ledger.note_label_bits(10 ** 6)
+
+    monkeypatch.setattr(DynamicScheme, "_restart", restart)
+    r = run(RunConfig(seed=1, events=300, p_delete=0.3, model="dynamic",
+                      function="distance", verify="off"))
+    assert r.restarts
+    assert r.bound_violations[0].startswith(
+        f"event {r.restarts[0][0]}: label bits 1000000 exceed budget")
+
+
 def test_report_json_round_trips():
     import json
     r = run(RunConfig(seed=11, events=30, function="ancestry"))

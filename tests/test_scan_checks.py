@@ -1,6 +1,7 @@
 """Every message of ``scan_invariants`` fires on a state broken for it,
-and its messages on a fixed corpus of corrupted states stay as
-recorded."""
+its messages on a fixed corpus of corrupted states stay as recorded, and
+each of its checks reports what its per-level reference in ``_util.py``
+reports."""
 
 import json
 import random
@@ -8,11 +9,15 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dynlabel import (DynamicScheme, FiniteScheme, IncreasingScheme, Network,
                       PortAssignment, QuotaFunction)
 
-from _corpus import corpus
+from _corpus import SCHEME_FIELDS, _corrupt, corpus
+from _util import (ref_adversary_faults, ref_backup_faults,
+                   ref_designer_faults, ref_ever_share_faults,
+                   ref_port_faults, scan_flags)
 
 CORPUS_FILE = Path(__file__).parent / "data" / "scan_corpus.jsonl"
 
@@ -51,6 +56,16 @@ def _scoped_child(net, core):
         if len(flags) == 1 and min(flags) < core.levels - 1:
             return v, min(flags) + 1, kids[0]
     raise AssertionError("no scoped child")
+
+
+def _unscoped_child(net, core):
+    """(v, u): no child of v is inside one of its lower scopes, and u is
+    the first of them in port order."""
+    for v in sorted(net.alive_nodes()):
+        kids = net.children_by_port(v)
+        if kids and min(_flag(core, c) for c in kids) >= core.levels - 1:
+            return v, kids[0]
+    raise AssertionError("no node without scoped children")
 
 
 def _fires(core, text):
@@ -119,6 +134,40 @@ def test_adversary_backref_presence_fires():
     v, l, u = _scoped_child(net, core)
     core.states[u].slot_backref[l] = None
     _fires(core, f"adversary backref presence at node {v} level {l} child {u}")
+
+
+def test_stray_backref_outside_every_lower_scope_fires():
+    """A back-reference at a child that no lower scope holds, under a
+    parent that hosts no scoped child."""
+    net, core = _grown("adversary")
+    v, u = _unscoped_child(net, core)
+    core.states[u].slot_backref[1] = net.port_to[v][u]
+    _fires(core, f"adversary backref presence at node {v} level 1 child {u}")
+
+
+@pytest.mark.parametrize("port_model,field,text", [
+    ("designer", "watermark", "designer watermark"),
+    ("adversary", "scoped_count", "adversary count")])
+def test_lower_scope_counter_at_a_node_without_scoped_children_fires(
+        port_model, field, text):
+    net, core = _grown(port_model)
+    v, _ = _unscoped_child(net, core)
+    getattr(core.states[v], field)[2] = 1
+    _fires(core, f"{text} at node {v} level 2")
+
+
+@pytest.mark.parametrize("port_model,text", [
+    ("designer", "designer watermark at node {v} level {l}: [] != [{p}]"),
+    ("adversary", "adversary count at node {v} level {l}: 0 != 1")])
+def test_a_child_lowered_into_a_scope_makes_its_parent_checked(port_model,
+                                                               text):
+    """Lowering one child's flag below ``levels - 1`` puts it inside its
+    parent's top lower scope, which the parent's bookkeeping omits."""
+    net, core = _grown(port_model)
+    v, u = _unscoped_child(net, core)
+    l = core.levels - 1
+    core.states[u].top_scope = l - 1
+    _fires(core, text.format(v=v, l=l, p=net.port_to[v][u]))
 
 
 def test_adversary_backref_target_fires():
@@ -257,3 +306,59 @@ def test_corpus_messages_match_the_recorded_ones():
     assert fired["descendant closure broken"] > 0
     assert fired["adversary count"] > 0
     assert fired["designer watermark"] > 0
+
+
+# random streams: (kind, index into the picked pool); a removal under the
+# leaf-increasing model adds instead
+STREAMS = st.lists(st.tuples(st.sampled_from("AAR"), st.integers(0, 1 << 16)),
+                   min_size=10, max_size=120)
+
+
+def _check_pairs(core):
+    """(name, the scan's check, its reference) for every rewritten check."""
+    flag = scan_flags(core)
+    bk = (ref_designer_faults if core.bookkeeping.kind == "designer"
+          else ref_adversary_faults)
+    pairs = [("bookkeeping", core.bookkeeping.check(flag), bk(core, flag)),
+             ("ever-share", core._ever_share_faults(flag),
+              ref_ever_share_faults(core, flag)),
+             ("ports", core.net.check_ports(), ref_port_faults(core.net))]
+    if core.backups is not None:
+        pairs.append(("backups", core.backups.check(),
+                      ref_backup_faults(core.backups)))
+    return [(name, sorted(got), sorted(want)) for name, got, want in pairs]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(port_model=st.sampled_from(["designer", "adversary"]),
+       model=st.sampled_from([IncreasingScheme, DynamicScheme]),
+       seed=st.integers(0, 1000), events=STREAMS)
+def test_scan_checks_report_what_the_per_level_checks_report(
+        port_model, model, seed, events):
+    """After a random stream and then after one corruption of the
+    corpus's kinds, each check reports the same messages as its
+    per-level reference."""
+    assignment = {"designer": PortAssignment.COMPACT,
+                  "adversary": PortAssignment.ADVERSARY}[port_model]
+    net = Network(assignment=assignment, rng=random.Random(seed))
+    scheme = model(net, "distance", QuotaFunction.parse("pow:0.5"))
+    for kind, i in events:
+        leaves = [v for v in net.alive_list if v != net.root
+                  and net.is_leaf(v)]
+        if kind == "R" and leaves and model is DynamicScheme:
+            scheme.remove_leaf(leaves[i % len(leaves)])
+        else:
+            scheme.add_leaf(net.alive_list[i % len(net.alive_list)])
+    core = scheme.core
+    for name, got, want in _check_pairs(core):
+        assert got == want == [], name
+    kinds = list(SCHEME_FIELDS)
+    if core.levels >= 2 and net.alive_count > 1:
+        kinds += (["watermark"] if port_model == "designer"
+                  else ["scoped_count", "slot_table", "slot_backref"])
+    if core.backups is not None and any(core.backups.copies.values()):
+        kinds.append("backup")
+    rng = random.Random(seed)
+    _corrupt(rng, net, core, rng.choice(kinds))
+    for name, got, want in _check_pairs(core):
+        assert got == want, name
