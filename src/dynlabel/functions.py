@@ -2,10 +2,14 @@
 
 Each supported function F on node pairs provides:
 
-* ``oracle(net, u, v)``  -- exact value from an explicit tree walk,
-  used as ground truth throughout the test harness,
-* ``oracle_row(net, u)`` -- ``{v: oracle(net, u, v)}`` for every node v
-  of u's tree, from one outward walk,
+* ``value(net, u, v, a, via)`` -- the one rule for F(u, v), given
+  a = nca(u, v) and ``via``: the child of u toward v when u is a strict
+  ancestor of v, the child of v toward u when v is a strict ancestor of
+  u, and None otherwise.  Both oracles derive from it:
+  ``oracle(net, u, v)`` finds (a, via) with one upward walk
+  (``nca_via``), and ``oracle_row(net, u)`` gives ``{v: F(u, v)}`` for
+  every node v of u's tree from one outward walk; they are the ground
+  truth of the test harness,
 * ``compose(a, b)``      -- combine F(u,w) and F(w,v) into F(u,v) for
   any w on the u-v path,
 * ``reverse(a)``         -- F(v,u) from F(u,v),
@@ -35,39 +39,31 @@ class FunctionError(ValueError):
     pass
 
 
-def _walk_to_depth(net, x, d):
-    while net.depth[x] > d:
-        x = net.parent[x]
-    return x
-
-
-def nca(net, u, v):
-    """Nearest common ancestor of two alive nodes."""
+def nca_via(net, u, v):
+    """(nca(u, v), via) of two alive nodes from one upward walk; ``via``
+    is as ``value`` takes it: the last node the deeper walker left
+    before it met the other argument, or None."""
+    parent, depth = net.parent, net.depth
+    via = None
     x, y = u, v
-    d = min(net.depth[x], net.depth[y])
-    x = _walk_to_depth(net, x, d)
-    y = _walk_to_depth(net, y, d)
+    dx, dy = depth[u], depth[v]
+    while dx > dy:
+        via, x = x, parent[x]
+        dx -= 1
+    while dy > dx:
+        via, y = y, parent[y]
+        dy -= 1
+    if x == y:
+        return x, via
     while x != y:
-        x = net.parent[x]
-        y = net.parent[y]
-    return x
-
-
-def first_hop_port(net, u, v):
-    """Port at u of the first edge on the path toward v (u != v)."""
-    a = nca(net, u, v)
-    if u != a:
-        return net.port_to[u][net.parent[u]]
-    # v is a strict descendant of u: step v up to depth(u)+1
-    c = _walk_to_depth(net, v, net.depth[u] + 1)
-    return net.port_to[u][c]
+        x, y = parent[x], parent[y]
+    return x, None
 
 
 def _outward(net, u):
-    """(v, nca(u, v), via) for every node v of u's tree, from one walk
-    out of u that reads only ``parent`` and ``children``.  ``via`` is the
-    child of u toward a strict descendant v, the child of v toward u
-    when v is a strict ancestor, and None otherwise."""
+    """(v, nca(u, v), via) for every node v of u's tree, ``via`` as
+    ``value`` takes it, from one walk out of u that reads only
+    ``parent`` and ``children``."""
     children = net.children
     row = [(u, u, None)]
     for c in children[u]:
@@ -97,11 +93,18 @@ class TreeFunction:
     symmetric = True
     layout = None           # wire layout of a value (see ``bits``)
 
-    def oracle(self, net, u, v):
+    def value(self, net, u, v, a, via):
+        """F(u, v) given a = nca(u, v) and ``via`` (see the module
+        docstring); the one rule both oracles read."""
         raise NotImplementedError
 
+    def oracle(self, net, u, v):
+        a, via = nca_via(net, u, v)
+        return self.value(net, u, v, a, via)
+
     def oracle_row(self, net, u) -> dict:
-        raise NotImplementedError
+        value = self.value
+        return {v: value(net, u, v, a, via) for v, a, via in _outward(net, u)}
 
     def compose(self, a, b):
         raise NotImplementedError
@@ -121,12 +124,8 @@ class Ancestry(TreeFunction):
     name = "ancestry"
     layout = (bits.FLAG, bits.FLAG)
 
-    def oracle(self, net, u, v):
-        a = nca(net, u, v)
+    def value(self, net, u, v, a, via):
         return (a == u, a == v)
-
-    def oracle_row(self, net, u):
-        return {v: (a == u, a == v) for v, a, _ in _outward(net, u)}
 
     def compose(self, a, b):
         return (a[0] and b[0], a[1] and b[1])
@@ -145,15 +144,9 @@ class Distance(TreeFunction):
     name = "distance"
     layout = bits.UINT
 
-    def oracle(self, net, u, v):
-        a = nca(net, u, v)
-        return net.depth[u] + net.depth[v] - 2 * net.depth[a]
-
-    def oracle_row(self, net, u):
+    def value(self, net, u, v, a, via):
         depth = net.depth
-        du = depth[u]
-        return {v: du + depth[v] - 2 * depth[a]
-                for v, a, _ in _outward(net, u)}
+        return depth[u] + depth[v] - 2 * depth[a]
 
     def compose(self, a, b):
         return a + b
@@ -169,12 +162,8 @@ class SeparationLevel(TreeFunction):
     name = "seplevel"
     layout = bits.UINT
 
-    def oracle(self, net, u, v):
-        return net.depth[nca(net, u, v)]
-
-    def oracle_row(self, net, u):
-        depth = net.depth
-        return {v: depth[a] for v, a, _ in _outward(net, u)}
+    def value(self, net, u, v, a, via):
+        return net.depth[a]
 
     def compose(self, a, b):
         return min(a, b)
@@ -193,23 +182,12 @@ class Routing(TreeFunction):
     symmetric = False
     layout = (bits.tag(ROUTE_SELF[0], "port"), bits.UINT, bits.UINT)
 
-    def oracle(self, net, u, v):
+    def value(self, net, u, v, a, via):
         if u == v:
             return ROUTE_SELF
-        return ("port", first_hop_port(net, u, v), first_hop_port(net, v, u))
-
-    def oracle_row(self, net, u):
         parent, port_to = net.parent, net.port_to
-        up = port_to[u].get(parent[u])      # u's port toward its parent
-        row = {}
-        for v, a, via in _outward(net, u):
-            if v == u:
-                row[v] = ROUTE_SELF
-                continue
-            fwd = port_to[u][via] if a == u else up
-            bwd = port_to[v][via] if a == v else port_to[v][parent[v]]
-            row[v] = ("port", fwd, bwd)
-        return row
+        return ("port", port_to[u][via if a == u else parent[u]],
+                port_to[v][via if a == v else parent[v]])
 
     def compose(self, a, b):
         if a == ROUTE_SELF:

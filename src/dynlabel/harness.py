@@ -279,6 +279,7 @@ class _BoundTracker:
         the new epoch's curve."""
         ledger = self.net.ledger
         restarts = self.runner.restart_log
+        self.max_levels = max(self.max_levels, self.runner.levels)
         if len(restarts) > self.restarts_seen:
             self.restarts_seen = len(restarts)
             self.epoch_base_messages = ledger.protocol_messages()
@@ -286,7 +287,6 @@ class _BoundTracker:
             self.epoch_n0 = restarts[-1][1]
             ever = self._epoch_ever()
         else:
-            self.max_levels = max(self.max_levels, self.runner.levels)
             ever = self._epoch_ever()
             spent = ledger.protocol_messages() - self.epoch_base_messages
             allowed = budgets.finite_run_message_budget(

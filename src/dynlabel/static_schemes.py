@@ -11,10 +11,16 @@ A label is the tuple of its wire fields, in the order its scheme's
 ``layout`` declares them, followed by its exact bit count, which the
 marker sets once when it builds the label (``bits.sized``).
 
+Each marker walks its scope once per job: the interval and routing
+markers share one preorder (``_preorder``) and the subtree sizes read
+off it (``_sizes``), and the separator marker finds each centroid with
+one walk of its component, whose order is the component.
+
 Schemes provided:
 
-* ancestry  -- depth-first intervals [a, a + d], stored as (a, d);
-  ancestor intervals contain descendant intervals,
+* ancestry  -- depth-first intervals [a, a + d], stored as (a, d): the
+  preorder index and the subtree size - 1; ancestor intervals contain
+  descendant intervals,
 * distance  -- centroid-separator entries (separator id, distance) per
   decomposition level plus the node's global depth,
 * seplevel  -- the distance labels decoded to the depth of the nearest
@@ -46,7 +52,7 @@ class StaticScheme:
     decoder: Callable         # (label_u, label_v) -> F value
     layout: tuple             # wire fields of a label (bits.encode/read)
     ls_budget: Callable       # (n, port bits) -> bit budget
-    mc_budget: Callable       # n -> message budget
+    mc_budget: Callable = marker_message_budget   # n -> message budget
 
 
 def _charge_traversal(net, root, scope):
@@ -68,21 +74,29 @@ INTERVAL = (bits.UINT, bits.UINT)       # a, d: the interval [a, a + d]
 
 def dfs_interval_marker(net, root, scope):
     _charge_traversal(net, root, scope)
-    a, b = {}, {}
-    counter = 0
-    stack = [(root, False)]
+    order = _preorder(root, scope)
+    size = _sizes(order, scope)
+    return {v: bits.sized(INTERVAL, (i, size[v] - 1))
+            for i, v in enumerate(order, 1)}
+
+
+def _preorder(root, scope):
+    """Scope members in depth-first preorder, children in port order."""
+    order = []
+    stack = [root]
     while stack:
-        v, done = stack.pop()
-        if done:
-            b[v] = max((b[c] for c in scope[v]), default=a[v])
-            continue
-        counter += 1
-        a[v] = counter
-        b[v] = counter
-        stack.append((v, True))
-        for c in reversed(scope[v]):
-            stack.append((c, False))
-    return {v: bits.sized(INTERVAL, (a[v], b[v] - a[v])) for v in scope}
+        v = stack.pop()
+        order.append(v)
+        stack.extend(reversed(scope[v]))
+    return order
+
+
+def _sizes(order, scope):
+    """Subtree sizes inside the scope, from any preorder of it."""
+    size = {}
+    for v in reversed(order):
+        size[v] = 1 + sum(size[c] for c in scope[v])
+    return size
 
 
 def dfs_interval_decode(lu, lv):
@@ -103,47 +117,32 @@ def separator_marker(net, root, scope):
     """Recursive centroid decomposition; labels carry one (separator,
     distance) entry per level plus the node's depth in the whole tree."""
     _charge_traversal(net, root, scope)
-    nbrs = {}
-    for v in scope:
-        out = list(scope[v])
-        p = net.parent[v]
-        if p in scope:
-            out.append(p)
-        nbrs[v] = out
+    # the traversal reached every member but the root from its parent
+    nbrs = {v: kids if v == root else kids + [net.parent[v]]
+            for v, kids in scope.items()}
     uid = {v: i for i, v in enumerate(sorted(scope))}
     entries = {v: [] for v in scope}
     removed = set()
     work = [root]
     while work:
         seed = work.pop()
-        comp = _component(seed, nbrs, removed)
-        c = _centroid(comp, seed, nbrs, removed)
-        dist = _bfs_dist(c, nbrs, removed, comp)
+        comp, c = _centroid(seed, nbrs, removed)
+        dist = _tree_dist(c, nbrs, removed)
         for v in comp:
             entries[v].append((uid[c], dist[v]))
         removed.add(c)
+        # every neighbour not removed seeds one part of the component
         for w in nbrs[c]:
-            if w in comp and w not in removed:
+            if w not in removed:
                 work.append(w)
     return {v: bits.sized(SEPARATOR, (uid[v], net.depth[v], tuple(entries[v])))
             for v in scope}
 
 
-def _component(seed, nbrs, removed):
-    seen = {seed}
-    stack = [seed]
-    while stack:
-        v = stack.pop()
-        for w in nbrs[v]:
-            if w not in removed and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
-
-
-def _centroid(comp, seed, nbrs, removed):
-    """Minimize the largest part left by removal; ties to smallest id."""
-    m = len(comp)
+def _centroid(seed, nbrs, removed):
+    """One DFS over the seed's component (the members not removed that
+    it reaches); returns its order and the centroid, the member whose
+    removal leaves the smallest largest part, ties to smallest id."""
     order = []
     par = {seed: None}
     stack = [seed]
@@ -151,36 +150,37 @@ def _centroid(comp, seed, nbrs, removed):
         v = stack.pop()
         order.append(v)
         for w in nbrs[v]:
-            if w in comp and w not in removed and w != par[v]:
+            if w not in removed and w != par[v]:
                 par[w] = v
                 stack.append(w)
-    size = {v: 1 for v in comp}
+    m = len(order)
+    size = dict.fromkeys(order, 1)
+    big = dict.fromkeys(order, 0)           # largest child part
     for v in reversed(order):
-        if par[v] is not None:
-            size[par[v]] += size[v]
-    best, best_key = None, None
-    for v in comp:
-        worst = m - size[v]
-        for w in nbrs[v]:
-            if w in comp and w not in removed and par.get(w) == v:
-                worst = max(worst, size[w])
-        key = (worst, v)
-        if best_key is None or key < best_key:
-            best, best_key = v, key
-    return best
+        p = par[v]
+        if p is not None:
+            size[p] += size[v]
+            if size[v] > big[p]:
+                big[p] = size[v]
+    # an explicit loop measured faster than min(key=...) on Python 3.11
+    best = None
+    for v in order:
+        key = (max(m - size[v], big[v]), v)
+        if best is None or key < best:
+            best = key
+    return order, best[1]
 
 
-def _bfs_dist(start, nbrs, removed, comp):
+def _tree_dist(start, nbrs, removed):
+    """Distances from start to the members not removed (one path each)."""
     dist = {start: 0}
-    queue = [start]
-    while queue:
-        nxt = []
-        for v in queue:
-            for w in nbrs[v]:
-                if w in comp and w not in removed and w not in dist:
-                    dist[w] = dist[v] + 1
-                    nxt.append(w)
-        queue = nxt
+    stack = [start]
+    while stack:
+        v = stack.pop()
+        for w in nbrs[v]:
+            if w not in removed and w not in dist:
+                dist[w] = dist[v] + 1
+                stack.append(w)
     return dist
 
 
@@ -214,49 +214,28 @@ ROUTING = (bits.UINT, bits.UINT, bits.SINT, bits.SINT, bits.PAIRS)
 
 def routing_marker(net, root, scope):
     _charge_traversal(net, root, scope)
-    size = {}
-    for v in _postorder(root, scope):
-        size[v] = 1 + sum(size[c] for c in scope[v])
-    heavy = {}
-    for v in scope:
-        if scope[v]:
-            heavy[v] = max(scope[v], key=lambda c: (size[c], -net.port_to[v][c]))
-        else:
-            heavy[v] = None
-    a = {}
-    light = {}
+    size = _sizes(_preorder(root, scope), scope)
+    port_to = net.port_to
+    heavy = {v: max(kids, key=lambda c: (size[c], -port_to[v][c]))
+             if kids else None for v, kids in scope.items()}
+    out = {}
     counter = 0
     # preorder with the heavy child first keeps light lists logarithmic
     stack = [(root, ())]
     while stack:
-        v, acc = stack.pop()
+        v, light = stack.pop()
         counter += 1
-        a[v] = counter
-        light[v] = acc
-        order = []
-        if heavy[v] is not None:
-            order.append((heavy[v], acc))
-        for c in scope[v]:
-            if c != heavy[v]:
-                order.append((c, acc + ((a[v], net.port_to[v][c]),)))
-        for item in reversed(order):
-            stack.append(item)
-    out = {}
-    for v in scope:
-        pp = -1 if net.parent[v] is None else net.port_to[v][net.parent[v]]
-        hp = -1 if heavy[v] is None else net.port_to[v][heavy[v]]
-        out[v] = bits.sized(ROUTING, (a[v], size[v] - 1, pp, hp, light[v]))
+        h = heavy[v]
+        for c in reversed(scope[v]):
+            if c != h:
+                stack.append((c, light + ((counter, port_to[v][c]),)))
+        if h is not None:
+            stack.append((h, light))
+        p = net.parent[v]
+        out[v] = bits.sized(ROUTING, (
+            counter, size[v] - 1, -1 if p is None else port_to[v][p],
+            -1 if h is None else port_to[v][h], light))
     return out
-
-
-def _postorder(root, scope):
-    order = []
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        stack.extend(scope[v])
-    return reversed(order)
 
 
 def _routing_hop(lu, lv):
@@ -287,16 +266,16 @@ def routing_decode(lu, lv):
 SCHEMES = {
     "ancestry": StaticScheme(
         "ancestry", dfs_interval_marker, dfs_interval_decode, INTERVAL,
-        interval_label_budget, marker_message_budget),
+        interval_label_budget),
     "distance": StaticScheme(
         "distance", separator_marker, separator_distance_decode, SEPARATOR,
-        separator_label_budget, marker_message_budget),
+        separator_label_budget),
     "seplevel": StaticScheme(
         "seplevel", separator_marker, separator_seplevel_decode, SEPARATOR,
-        separator_label_budget, marker_message_budget),
+        separator_label_budget),
     "routing": StaticScheme(
         "routing", routing_marker, routing_decode, ROUTING,
-        routing_label_budget, marker_message_budget),
+        routing_label_budget),
 }
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dynlabel import Network, PortAssignment, bits, get_function
-from dynlabel.functions import ROUTE_SELF, nca
+from dynlabel.functions import ROUTE_SELF, nca_via
 
 from _util import build_net, random_parents, rooted_trees
 
@@ -46,7 +46,7 @@ def test_seplevel_is_depth_of_nearest_common_ancestor():
     for _ in range(200):
         u = nodes[rng.randrange(len(nodes))]
         v = nodes[rng.randrange(len(nodes))]
-        a = nca(net, u, v)
+        a = nca_via(net, u, v)[0]
         assert fn.oracle(net, u, v) == net.depth[a]
 
 
@@ -75,7 +75,7 @@ def test_compose_routing_keeps_first_hop():
 
 
 def _path(net, u, v):
-    a = nca(net, u, v)
+    a = nca_via(net, u, v)[0]
     up = []
     x = u
     while x != a:
@@ -182,20 +182,56 @@ def test_oracle_row_matches_pairwise_oracle(name):
     fn = get_function(name)
     for assignment in PortAssignment:
         for seed in range(30):
-            rng = random.Random(seed)
-            net = Network(assignment=assignment, rng=random.Random(seed + 1))
-            for _ in range(40):
-                leaves = [v for v in net.alive_nodes()
-                          if v != 0 and net.is_leaf(v)]
-                if leaves and rng.random() < 0.3:
-                    net.remove_leaf(leaves[rng.randrange(len(leaves))])
-                else:
-                    pool = net.alive_list
-                    net.add_leaf(pool[rng.randrange(len(pool))])
+            net = _grown_net(assignment, seed)
             nodes = net.alive_nodes()
             for u in nodes:
                 row = fn.oracle_row(net, u)
                 assert sorted(row) == sorted(nodes)
                 for v in nodes:
                     assert row[v] == fn.oracle(net, u, v), (assignment, seed,
+                                                            u, v)
+
+
+def _grown_net(assignment, seed, events=40):
+    """Random tree from adds and leaf deletions under one assignment."""
+    rng = random.Random(seed)
+    net = Network(assignment=assignment, rng=random.Random(seed + 1))
+    for _ in range(events):
+        leaves = [v for v in net.alive_nodes() if v != 0 and net.is_leaf(v)]
+        if leaves and rng.random() < 0.3:
+            net.remove_leaf(leaves[rng.randrange(len(leaves))])
+        else:
+            pool = net.alive_list
+            net.add_leaf(pool[rng.randrange(len(pool))])
+    return net
+
+
+def test_nca_via_matches_ancestor_sets():
+    """For every ordered pair, u == v and root pairs included, ``nca_via``
+    gives the deepest common member of the two ancestor chains and, when
+    one node is a strict ancestor of the other, the chain member of the
+    deeper one just below it."""
+    for assignment in PortAssignment:
+        for seed in range(12):
+            net = _grown_net(assignment, seed)
+            nodes = net.alive_nodes()
+            chain = {}          # node -> its ancestors by depth, root first
+            for v in nodes:
+                up = [v]
+                while net.parent[up[-1]] is not None:
+                    up.append(net.parent[up[-1]])
+                chain[v] = up[::-1]
+            for u in nodes:
+                for v in nodes:
+                    common = set(chain[u]) & set(chain[v])
+                    a = max(common, key=lambda x: net.depth[x])
+                    if u == v:
+                        via = None
+                    elif a == u:
+                        via = chain[v][net.depth[u] + 1]
+                    elif a == v:
+                        via = chain[u][net.depth[v] + 1]
+                    else:
+                        via = None
+                    assert nca_via(net, u, v) == (a, via), (assignment, seed,
                                                             u, v)

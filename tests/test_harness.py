@@ -182,6 +182,33 @@ def test_label_bound_is_checked_on_a_restart_event(monkeypatch):
         f"event {r.restarts[0][0]}: label bits 1000000 exceed budget")
 
 
+@pytest.mark.parametrize("seed,events", [(0, 59), (1, 124), (0, 1)])
+def test_memory_bound_counts_the_levels_of_a_final_restart(monkeypatch, seed,
+                                                          events):
+    """When the last event restarts onto more levels, the memory budget
+    is sized with those levels, not with the maximum before it."""
+    from dynlabel import DynamicScheme, budgets
+    seen, budgeted = [], []
+
+    def apply(runner, ev, _apply=DynamicScheme.apply):
+        _apply(runner, ev)
+        seen.append(runner.levels)
+
+    def budget(ever, levels, _budget=budgets.designer_memory_budget):
+        budgeted.append(levels)
+        return _budget(ever, levels)
+
+    monkeypatch.setattr(DynamicScheme, "apply", apply)
+    monkeypatch.setattr(budgets, "designer_memory_budget", budget)
+    r = run(RunConfig(seed=seed, events=events, p_delete=0.3, model="dynamic",
+                      function="distance", quota_fn="const:2", verify="off",
+                      invariants="off"))
+    assert r.passed()
+    assert r.restarts[-1][0] == events
+    assert seen[-1] > max(seen[:-1], default=0)
+    assert budgeted == [seen[-1]]
+
+
 def test_report_json_round_trips():
     import json
     r = run(RunConfig(seed=11, events=30, function="ancestry"))
