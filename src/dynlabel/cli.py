@@ -60,8 +60,8 @@ def _build_parser():
     p.add_argument("--pdelete", type=float, default=0.0)
     p.add_argument("--model", choices=["increasing", "dynamic"],
                    default="increasing")
-    p.add_argument("--ports", choices=["designer", "adversary"],
-                   default="designer")
+    p.add_argument("--ports", dest="port_model",
+                   choices=["designer", "adversary"], default="designer")
     p.add_argument("--function",
                    choices=["ancestry", "distance", "seplevel", "routing"],
                    default="distance")
@@ -106,7 +106,8 @@ def main(argv=None) -> int:
     try:
         config = RunConfig(
             seed=args.seed, events=args.events, p_delete=args.pdelete,
-            model=args.model, port_model=args.ports, function=args.function,
+            model=args.model, port_model=args.port_model,
+            function=args.function,
             quota_fn=args.kfn, tracker=args.watch, verify=args.verify,
             invariants=args.invariants, bounds=not args.no_bounds,
             port_cap=args.port_cap, scenario_path=args.scenario,

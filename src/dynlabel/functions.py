@@ -185,9 +185,9 @@ class Routing(TreeFunction):
     def value(self, net, u, v, a, via):
         if u == v:
             return ROUTE_SELF
-        parent, port_to = net.parent, net.port_to
-        return ("port", port_to[u][via if a == u else parent[u]],
-                port_to[v][via if a == v else parent[v]])
+        down, up = net.down_port, net.up_port
+        return ("port", down[via] if a == u else up[u],
+                down[via] if a == v else up[v])
 
     def compose(self, a, b):
         if a == ROUTE_SELF:
@@ -205,7 +205,7 @@ class Routing(TreeFunction):
         return ROUTE_SELF
 
     def edge_value(self, net, parent, child):
-        return ("port", net.port_to[parent][child], net.port_to[child][parent])
+        return ("port", net.down_port[child], net.up_port[child])
 
 
 FUNCTIONS = {

@@ -192,14 +192,12 @@ def generate_scenario(seed: int, n_events: int, p_delete: float):
 
 
 def build_network(config: RunConfig) -> Network:
-    if config.function == "routing":
-        assignment = (PortAssignment.STABLE
-                      if config.port_model == "designer"
-                      else PortAssignment.ADVERSARY)
+    if config.port_model == "adversary":
+        assignment = PortAssignment.ADVERSARY
+    elif config.function == "routing":
+        assignment = PortAssignment.STABLE
     else:
-        assignment = (PortAssignment.COMPACT
-                      if config.port_model == "designer"
-                      else PortAssignment.ADVERSARY)
+        assignment = PortAssignment.COMPACT
     rng = random.Random(config.seed * 31 + 7)
     return Network(assignment=assignment, rng=rng, port_cap=config.port_cap)
 

@@ -90,7 +90,7 @@ class DesignerBookkeeping:
         self.on_reset(scope, self.engine.levels)
 
     def on_child_removed(self, parent, child, snapshot):
-        q = self.engine.net.port_to[parent][child]
+        q = self.engine.net.down_port[child]
         st = self.engine.states[parent]
         for l in range(1, self.engine.levels):
             if st.watermark[l] >= q:
@@ -117,7 +117,7 @@ class DesignerBookkeeping:
         comparisons run at hosts and at nodes failing that test."""
         engine = self.engine
         levels = engine.levels
-        states, port_to = engine.states, engine.net.port_to
+        states, down = engine.states, engine.net.down_port
         children = engine.net.children
         hosts = _hosts(flag, engine.net.parent, levels)
         zero = [0] * (levels + 1)
@@ -125,7 +125,7 @@ class DesignerBookkeeping:
         for v in [v for v in flag
                   if v in hosts or states[v].watermark != zero]:
             watermark = states[v].watermark
-            joins = _scope_joins(children[v], port_to[v], flag, levels)
+            joins = _scope_joins(children[v], down, flag, levels)
             want = set()
             for l in range(1, levels):
                 want.update(joins[l])
@@ -158,7 +158,7 @@ class AdversaryBookkeeping:
         states = self.engine.states
         order = net.children[parent]
         j = order.index(child) + 1
-        port_u = net.port_to[parent][child]
+        port_u = net.down_port[child]
         vst = states[parent]
         backrefs = self.engine.deletions
         touched = set()
@@ -174,7 +174,7 @@ class AdversaryBookkeeping:
                 states[target].slot_table[l] = port_u
                 touched.add(target)
                 if backrefs:
-                    states[child].slot_backref[l] = net.port_to[parent][target]
+                    states[child].slot_backref[l] = net.down_port[target]
                     touched.add(child)
             vst.scoped_count[l] = c + 1
         if touched:
@@ -216,39 +216,38 @@ class AdversaryBookkeeping:
         order_pre = net.children[parent]
         order_post = [w for w in order_pre if w != child]
         j = order_pre.index(child) + 1
-        pt = net.port_to[parent]
-        by_port = {pt[w]: w for w in order_pre}
+        down, child_at = net.down_port, net.child_at
         touched = set()
         for l in range(1, self.engine.levels):
             c = vst.scoped_count[l]
             tbl_u = snapshot["slot_table"][l]
             ref_u = snapshot["slot_backref"][l]
             if j <= c:
-                x = by_port[tbl_u]
+                x = child_at(parent, tbl_u)
                 if x == child:
                     vst.scoped_count[l] = c - 1
                 elif ref_u is None:
                     target = order_post[c - 1]
                     states[target].slot_table[l] = tbl_u
-                    states[x].slot_backref[l] = pt[target]
+                    states[x].slot_backref[l] = down[target]
                     touched.update((target, x))
                 else:
-                    w = by_port[ref_u]
+                    w = child_at(parent, ref_u)
                     states[w].slot_table[l] = tbl_u
-                    states[x].slot_backref[l] = pt[w]
+                    states[x].slot_backref[l] = down[w]
                     vst.scoped_count[l] = c - 1
                     touched.update((w, x))
             elif ref_u is not None:
-                w = by_port[ref_u]
+                w = child_at(parent, ref_u)
                 target = order_post[c - 1]
                 port_y = states[target].slot_table[l]
-                y = by_port[port_y]
+                y = child_at(parent, port_y)
                 states[w].slot_table[l] = port_y
                 states[target].slot_table[l] = None
                 vst.scoped_count[l] = c - 1
                 touched.update((w, target))
                 if y != child:
-                    states[y].slot_backref[l] = pt[w]
+                    states[y].slot_backref[l] = down[w]
                     touched.add(y)
         touched.discard(child)
         if touched:
@@ -262,8 +261,7 @@ class AdversaryBookkeeping:
         c = states[v].scoped_count[level]
         net.ledger.count("membook", 2 * c)
         ports = {states[order[i]].slot_table[level] for i in range(c)}
-        return sorted((net.ports[v][p] for p in ports),
-                      key=net.port_to[v].__getitem__)
+        return [net.child_at(v, p) for p in sorted(ports)]
 
     def memory_bits(self, v):
         st = self.engine.states[v]
@@ -290,7 +288,7 @@ class AdversaryBookkeeping:
         engine = self.engine
         levels = engine.levels
         states, net = engine.states, engine.net
-        children = net.children
+        children, down = net.children, net.down_port
         backrefs = engine.deletions
         zero, empty = [0] * (levels + 1), [None] * (levels + 1)
         todo = _hosts(flag, net.parent, levels)
@@ -303,17 +301,16 @@ class AdversaryBookkeeping:
                   if v in todo or states[v].scoped_count != zero]:
             order = children[v]
             scoped_count = states[v].scoped_count
-            ports, pt = net.ports[v], net.port_to[v]
             if not backrefs:
                 kids = ()
-            elif len(set(map(pt.__getitem__, order))) < len(order):
+            elif len(set(map(down.__getitem__, order))) < len(order):
                 kids = order      # a shared port may be in scope for both
             else:
                 # any other child is outside every lower scope with no
                 # back-reference, as it should be
                 kids = [u for u in order if flag[u] < levels - 1
                         or states[u].slot_backref != empty]
-            joins = _scope_joins(order, pt, flag, levels)
+            joins = _scope_joins(order, down, flag, levels)
             want = set()
             for l in range(1, levels):
                 want.update(joins[l])
@@ -328,13 +325,13 @@ class AdversaryBookkeeping:
                                f"{sorted(map(str, got))} != "
                                f"{sorted(map(str, want))}")
                 for u in kids:
-                    p = pt[u]
+                    p = down[u]
                     ref = states[u].slot_backref[l]
                     if (ref is None) != (p not in want):
                         out.append(f"adversary backref presence at node {v} "
                                    f"level {l} child {u}")
                     elif ref is not None:
-                        w = ports.get(ref)
+                        w = net.child_at(v, ref)
                         if w is None or states[w].slot_table[l] != p:
                             out.append(f"adversary backref target at node "
                                        f"{v} level {l} child {u}")
@@ -347,7 +344,7 @@ def _hosts(flag, parent, levels) -> set:
     return {parent[v] for v, t in flag.items() if t < levels - 1}
 
 
-def _scope_joins(order, pt, flag, levels) -> list:
+def _scope_joins(order, down, flag, levels) -> list:
     """Entry l, for 1 <= l < levels: the ports of the children flagged
     l - 1, which join the level-l scope and stay in every higher one, so
     the scope's ports are the union of entries 1..l."""
@@ -355,7 +352,7 @@ def _scope_joins(order, pt, flag, levels) -> list:
     for c in order:
         t = flag[c]
         if t < levels - 1:
-            joins[t + 1].append(pt[c])
+            joins[t + 1].append(down[c])
     return joins
 
 

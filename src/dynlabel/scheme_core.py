@@ -412,9 +412,8 @@ class SchemeCore:
         n += counter_list_bits(st.tally[1:])
         n += counter_list_bits(st.ever_share[1:])
         n += self.bookkeeping.memory_bits(v)
-        p = self.net.parent[v]
-        if p is not None:
-            n += int_bits(self.net.port_to[v][p])
+        if v in self.net.up_port:
+            n += int_bits(self.net.up_port[v])
         if self.backups is not None:
             n += self.backups.held_bits(v)
         return n

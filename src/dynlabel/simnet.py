@@ -1,13 +1,16 @@
 """Deterministic simulated message-passing network over a rooted tree.
 
-The network owns topology (parent pointers, port maps, liveness), the
+The network owns topology (parent pointers, port numbers, liveness), the
 only two topological events (add-leaf, remove-leaf), and the message
 ledger.  Protocol layers register listeners and are informed of events
 synchronously; event notifications themselves cost no messages, only
-explicit ``send`` calls are charged.
+explicit ``send`` calls are charged, one per hop to a tree neighbour.
 
-Port assignment depends on the port model and on whether the running
-static scheme embeds port numbers in labels:
+A port number belongs to one end of a tree edge.  Both numbers of an
+edge are stored once, under its child end c: ``down_port[c]`` is the
+port at c's parent toward c, ``up_port[c]`` the port at c toward its
+parent.  Port assignment depends on the port model and on whether the
+running static scheme embeds port numbers in labels:
 
 * ``compact``    -- node-chosen ports kept as the prefix 1..deg: a new
   child shifts every existing port up by one and takes port 1, a
@@ -25,7 +28,6 @@ import csv
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain
 from operator import ge
 
 
@@ -151,8 +153,9 @@ class Network:
         self.alive_count = 1
         self.alive_list = [0]            # alive nodes, stable swap-remove order
         self._alive_pos = {0: 0}
-        self.ports = {0: {}}             # node -> {port: neighbor}
-        self.port_to = {0: {}}           # node -> {neighbor: port}
+        # the two port numbers of each tree edge, keyed by its child end c
+        self.down_port = {}              # c -> port at parent(c) toward c
+        self.up_port = {}                # c -> port at c toward parent(c)
         self.ledger = MetricsLedger()
         self._add_listeners = []
         self._remove_listeners = []
@@ -179,6 +182,16 @@ class Network:
     def children_by_port(self, v) -> list:
         """v's alive children in port order: the stored list, not a copy."""
         return self.children[v]
+
+    def child_at(self, v, port):
+        """v's child behind ``port``, or None: a bisect over the children
+        list, which is kept in port order."""
+        kids = self.children[v]
+        down = self.down_port
+        i = bisect.bisect_left(kids, port, key=down.__getitem__)
+        if i < len(kids) and down[kids[i]] == port:
+            return kids[i]
+        return None
 
     # -- topological events ---------------------------------------------
 
@@ -210,14 +223,13 @@ class Network:
             raise InvalidEvent(f"remove-leaf: {leaf} has children")
         for cb in self._remove_listeners:
             cb(leaf)
-        parent = self.parent[leaf]
-        q = self.port_to[parent].pop(leaf)
-        del self.ports[parent][q]
-        self.children[parent].remove(leaf)
+        kids = self.children[self.parent[leaf]]
+        at = kids.index(leaf)
+        del kids[at]
         if self.assignment is PortAssignment.COMPACT:
-            self._compact_after_remove(parent, q)
-        self.ports[leaf] = {}
-        self.port_to[leaf] = {}
+            for c in kids[at:]:
+                self.down_port[c] -= 1
+        del self.down_port[leaf], self.up_port[leaf]
         self.alive[leaf] = False
         self.alive_count -= 1
         i = self._alive_pos.pop(leaf)
@@ -230,57 +242,51 @@ class Network:
         """Number the new edge at both ends (q at the parent, r at the
         child) and place the child in the parent's port-ordered list:
         first for compact ports, last for stable ones."""
+        down, up, kids = self.down_port, self.up_port, self.children[parent]
         if self.assignment is PortAssignment.COMPACT:
-            self.ports[parent] = {p + 1: w for p, w in self.ports[parent].items()}
-            self.port_to[parent] = {w: p + 1 for w, p in self.port_to[parent].items()}
+            for c in kids:
+                down[c] += 1
+            if parent in up:
+                up[parent] += 1
             q = r = 1
         elif self.assignment is PortAssignment.STABLE:
-            q, r = max(self.ports[parent], default=0) + 1, 0
+            q = max(up.get(parent, 0), down[kids[-1]] if kids else 0) + 1
+            r = 0
         else:
             q = self._adversary_port(parent)
-            r = self._adversary_port(child, fresh=True)
-        self.ports[parent][q] = child
-        self.port_to[parent][child] = q
-        self.ports[child] = {r: parent}
-        self.port_to[child] = {parent: r}
-        bisect.insort(self.children[parent], child,
-                      key=self.port_to[parent].__getitem__)
+            # the child's first port: no other port at it to avoid
+            r = self.rng.randrange(self.port_cap + 1)
+        down[child] = q
+        up[child] = r
+        bisect.insort(kids, child, key=down.__getitem__)
 
-    def _adversary_port(self, node, fresh=False):
-        used = () if fresh else self.ports[node]
-        if len(used) > self.port_cap:
+    def _adversary_port(self, node):
+        """A port at node drawn until it is neither node's parent port
+        nor a child's."""
+        own = self.up_port.get(node)
+        if len(self.children[node]) + (own is not None) > self.port_cap:
             raise InvalidEvent(f"add-leaf: node {node} has no free port "
                                f"in 0..{self.port_cap}")
         while True:
             q = self.rng.randrange(self.port_cap + 1)
-            if q not in used:
+            if q != own and self.child_at(node, q) is None:
                 return q
-
-    def _compact_after_remove(self, parent, q):
-        moved = [(p, w) for p, w in self.ports[parent].items()
-                 if p > q and w != self.parent[parent]]
-        for p, w in sorted(moved):
-            del self.ports[parent][p]
-            self.ports[parent][p - 1] = w
-            self.port_to[parent][w] = p - 1
 
     def normalize_ports(self, v) -> None:
         """Designer renumbering of a compact node: its children already
         hold 1..k, so only the port to its parent moves, to k+1."""
-        p, k = self.parent[v], len(self.children[v])
-        if p is not None:
-            del self.ports[v][self.port_to[v][p]]
-            self.ports[v][k + 1] = p
-            self.port_to[v][p] = k + 1
+        if v in self.up_port:
+            self.up_port[v] = len(self.children[v]) + 1
 
     # -- messaging ------------------------------------------------------
 
-    def send(self, frm: int, via_port: int, category="protocol"):
-        """One charged hop to the neighbor behind via_port."""
-        try:
-            to = self.ports[frm][via_port]
-        except KeyError:
-            raise SimulationError(f"node {frm} has no port {via_port}") from None
+    def send(self, frm: int, to: int, category: str):
+        """One charged hop from an alive node frm to its tree neighbour
+        ``to``."""
+        parent = self.parent
+        if not (self.alive.get(frm)
+                and (parent.get(to) == frm or parent.get(frm) == to)):
+            raise SimulationError(f"node {to} is not a neighbour of {frm}")
         if not self.alive[to]:
             self.ledger.messages_to_dead += 1
             raise DeadNeighborError(f"message from {frm} to deleted node {to}")
@@ -295,7 +301,7 @@ class Network:
             p = self.parent[x]
             if p is None:
                 raise SimulationError(f"{ancestor} is not an ancestor of {frm}")
-            self.send(x, self.port_to[x][p], category=category)
+            self.send(x, p, category)
             x = p
             hops += 1
         return hops
@@ -317,8 +323,8 @@ class Network:
         while stack:
             v = stack.pop()
             for c in scope[v]:
-                self.send(v, self.port_to[v][c], category=category)      # down
-                self.send(c, self.port_to[c][v], category=category)      # up
+                self.send(v, c, category)      # down
+                self.send(c, v, category)      # up
                 total += aggregate(c)
                 stack.append(c)
         return total
@@ -326,49 +332,45 @@ class Network:
     # -- structural checks ----------------------------------------------
 
     def check_ports(self, nodes=None) -> list[str]:
-        """Port-map faults at every node of ``nodes`` (all alive nodes
-        when omitted): ``ports`` and ``port_to`` must be inverse maps and
-        children must be listed in port order; compact children must
-        hold ports 1..#children and adversary ports must lie in
-        0..port_cap.
+        """Port faults at every node of ``nodes`` (all alive nodes when
+        omitted): compact children must hold ports 1..#children and
+        other children strictly increasing ports in list order, a
+        node's parent port must not be one of its child ports, and
+        adversary ports must lie in 0..port_cap.
 
-        One pass over the nodes tests each one's maps in place; message
+        Each edge's two ports are stored once, keyed by its child end,
+        so a port can neither outlive its edge nor disagree with another
+        map.  One pass over the nodes reads their child ports; message
         strings are built only at faults."""
         if nodes is None:
             nodes = self.alive_list
-        ports, port_to, children = self.ports, self.port_to, self.children
+        down, up, children = self.down_port, self.up_port, self.children
         compact = self.assignment is PortAssignment.COMPACT
         bad = []
         for v in nodes:
-            pv, pt = ports[v], port_to[v]
-            inverse = len(pv) == len(pt)
-            if inverse:
-                for w, q in pt.items():
-                    if pv.get(q) != w:
-                        inverse = False
-                        break
-            if not inverse:
-                bad.append(f"node {v}: ports {sorted(pv.items())} and "
-                           f"port_to {sorted(pt.items())} are not inverse")
             kids = children[v]
+            if not kids:
+                continue
+            got = list(map(down.__getitem__, kids))
             if compact:
-                for i, c in enumerate(kids, 1):
-                    if pt[c] != i:
-                        got = [pt[c] for c in kids]
-                        bad.append(f"node {v}: compact child ports {got} "
-                                   f"are not 1..{len(kids)}")
-                        break
-            elif len(kids) > 1:
-                got = list(map(pt.__getitem__, kids))
-                if any(map(ge, got, got[1:])):
-                    bad.append(f"node {v}: child ports {got} are not in "
-                               f"port order")
+                if got != list(range(1, len(kids) + 1)):
+                    bad.append(f"node {v}: compact child ports {got} "
+                               f"are not 1..{len(kids)}")
+            elif any(map(ge, got, got[1:])):
+                bad.append(f"node {v}: child ports {got} are not in "
+                           f"port order")
+            if up.get(v) in got:
+                bad.append(f"node {v}: parent port {up[v]} is also a "
+                           f"child port")
         if self.assignment is PortAssignment.ADVERSARY:
             cap = self.port_cap
-            used = list(chain.from_iterable(map(ports.__getitem__, nodes)))
+            used = [up[v] for v in nodes if v in up]
+            used += [down[c] for v in nodes for c in children[v]]
             if used and (min(used) < 0 or max(used) > cap):
                 for v in nodes:
-                    pv = ports[v]
+                    pv = [down[c] for c in children[v]]
+                    if v in up:
+                        pv.append(up[v])
                     if pv and (min(pv) < 0 or max(pv) > cap):
                         bad.append(f"node {v}: adversary ports {sorted(pv)} "
                                    f"exceed 0..{cap}")

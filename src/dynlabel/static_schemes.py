@@ -215,8 +215,8 @@ ROUTING = (bits.UINT, bits.UINT, bits.SINT, bits.SINT, bits.PAIRS)
 def routing_marker(net, root, scope):
     _charge_traversal(net, root, scope)
     size = _sizes(_preorder(root, scope), scope)
-    port_to = net.port_to
-    heavy = {v: max(kids, key=lambda c: (size[c], -port_to[v][c]))
+    down = net.down_port
+    heavy = {v: max(kids, key=lambda c: (size[c], -down[c]))
              if kids else None for v, kids in scope.items()}
     out = {}
     counter = 0
@@ -228,13 +228,12 @@ def routing_marker(net, root, scope):
         h = heavy[v]
         for c in reversed(scope[v]):
             if c != h:
-                stack.append((c, light + ((counter, port_to[v][c]),)))
+                stack.append((c, light + ((counter, down[c]),)))
         if h is not None:
             stack.append((h, light))
-        p = net.parent[v]
         out[v] = bits.sized(ROUTING, (
-            counter, size[v] - 1, -1 if p is None else port_to[v][p],
-            -1 if h is None else port_to[v][h], light))
+            counter, size[v] - 1, net.up_port.get(v, -1),
+            -1 if h is None else down[h], light))
     return out
 
 

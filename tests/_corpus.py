@@ -18,6 +18,8 @@ import random
 from dynlabel import DynamicScheme, Network, PortAssignment, QuotaFunction
 from dynlabel import generate_scenario
 
+from _util import ports_at
+
 RUNS = 40
 EVENTS = 120
 SCHEME_FIELDS = ("top_scope", "ever_share", "ever_count")
@@ -53,7 +55,7 @@ def _slot_field(rng, net, core, name):
     values = getattr(st, name)
     l = rng.randrange(1, core.levels)
     old = values[l]
-    values[l] = rng.choice(sorted(net.ports[net.parent[u]]) + [None])
+    values[l] = rng.choice(sorted(ports_at(net, net.parent[u])) + [None])
 
     def undo():
         values[l] = old

@@ -46,6 +46,15 @@ def build_net(parents, assignment=PortAssignment.COMPACT, seed=0,
     return net
 
 
+def ports_at(net, v):
+    """Every port number at v, sorted: its children's down ports and,
+    below the root, its own up port."""
+    ports = [net.down_port[c] for c in net.children[v]]
+    if v in net.up_port:
+        ports.append(net.up_port[v])
+    return sorted(ports)
+
+
 def random_parents(rng, n):
     """Parent vector of a uniformly grown random tree on n nodes."""
     return [rng.randrange(i + 1) for i in range(n - 1)]
@@ -142,20 +151,19 @@ def scan_flags(core):
 def ref_designer_faults(core, flag):
     """Watermarks against the scoped children, level by level."""
     levels, states = core.levels, core.states
-    port_to, children = core.net.port_to, core.net.children
+    down, children = core.net.down_port, core.net.children
     out = []
     for v in flag:
         order = children[v]
         watermark = states[v].watermark
         if not order and not any(watermark[1:levels]):
             continue
-        pt = port_to[v]
         for l in range(1, levels):
             if watermark[l] < 0:
                 out.append(f"designer watermark at node {v} level {l}: "
                            f"{watermark[l]} < 0")
             got = set(range(1, watermark[l] + 1))
-            want = {pt[c] for c in order if flag[c] < l}
+            want = {down[c] for c in order if flag[c] < l}
             if got != want:
                 out.append(f"designer watermark at node {v} level {l}: "
                            f"{sorted(got)} != {sorted(want)}")
@@ -172,8 +180,7 @@ def ref_adversary_faults(core, flag):
         scoped_count = states[v].scoped_count
         if not order and not any(scoped_count[1:levels]):
             continue
-        ports, pt = net.ports[v], net.port_to[v]
-        rows = [(u, pt[u], states[u]) for u in order]
+        rows = [(u, net.down_port[u], states[u]) for u in order]
         for l in range(1, levels):
             want = {p for u, p, _ in rows if flag[u] < l}
             c = scoped_count[l]
@@ -194,8 +201,8 @@ def ref_adversary_faults(core, flag):
                     out.append(f"adversary backref presence at node {v} "
                                f"level {l} child {u}")
                 elif ref is not None:
-                    w = ports.get(ref)
-                    if w is None or states[w].slot_table[l] != p:
+                    holders = [w for w, q, _ in rows if q == ref]
+                    if not holders or states[holders[0]].slot_table[l] != p:
                         out.append(f"adversary backref target at node "
                                    f"{v} level {l} child {u}")
     return out
@@ -226,23 +233,24 @@ def ref_ever_share_faults(core, flag):
 
 
 def ref_port_faults(net):
-    """Port-map faults, node by node."""
+    """Port faults, node by node."""
     bad = []
     for v in net.alive_list:
-        pv, pt, kids = net.ports[v], net.port_to[v], net.children[v]
-        if len(pv) != len(pt) or any(pv.get(q) != w for w, q in pt.items()):
-            bad.append(f"node {v}: ports {sorted(pv.items())} and port_to "
-                       f"{sorted(pt.items())} are not inverse")
-        got = [pt[c] for c in kids]
+        kids = net.children[v]
+        got = [net.down_port[c] for c in kids]
         if net.assignment is PortAssignment.COMPACT:
             if got != list(range(1, len(kids) + 1)):
                 bad.append(f"node {v}: compact child ports {got} are not "
                            f"1..{len(kids)}")
         elif got != sorted(set(got)):
             bad.append(f"node {v}: child ports {got} are not in port order")
+        if v in net.up_port and net.up_port[v] in got:
+            bad.append(f"node {v}: parent port {net.up_port[v]} is also a "
+                       f"child port")
+        pv = ports_at(net, v)
         if (net.assignment is PortAssignment.ADVERSARY and pv
-                and (min(pv) < 0 or max(pv) > net.port_cap)):
-            bad.append(f"node {v}: adversary ports {sorted(pv)} exceed "
+                and (pv[0] < 0 or pv[-1] > net.port_cap)):
+            bad.append(f"node {v}: adversary ports {pv} exceed "
                        f"0..{net.port_cap}")
     return bad
 

@@ -44,7 +44,7 @@ def _target(net, pick, i):
 
 def _state(scheme):
     net = scheme.net
-    return pickle.dumps((net.parent, net.children, net.ports, net.port_to,
+    return pickle.dumps((net.parent, net.children, net.down_port, net.up_port,
                          net.alive, net.next_id, scheme.core.states,
                          scheme.core.labels, scheme.core._anchor_rows,
                          scheme.core.backups and scheme.core.backups.copies,
@@ -87,7 +87,7 @@ def test_event_streams_keep_the_state_sound(network, model, seed, events):
         except RUN_ERRORS:
             assert _state(scheme) == before
         for v in net.alive_list:
-            got = list(map(net.port_to[v].__getitem__, net.children[v]))
+            got = list(map(net.down_port.__getitem__, net.children[v]))
             assert got == sorted(got)
         assert net.check_ports() == []
         assert scheme.core.labels.keys() == set(net.alive_list)

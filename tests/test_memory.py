@@ -6,7 +6,7 @@ from dynlabel import (DynamicScheme, FiniteScheme, IncreasingScheme, Network,
                       PortAssignment, QuotaFunction, budgets)
 from dynlabel.memory import MemoryError_, next_sibling, prev_sibling
 
-from _util import grow_random
+from _util import grow_random, ports_at
 
 
 def test_fresh_leaf_has_zero_watermarks_and_parent_at_port_one():
@@ -15,7 +15,7 @@ def test_fresh_leaf_has_zero_watermarks_and_parent_at_port_one():
     leaf = s.add_leaf(0)
     st = s.core.states[leaf]
     assert st.watermark[1:3] == [0, 0]
-    assert net.port_to[leaf][0] == 1
+    assert net.up_port[leaf] == 1
 
 
 def test_new_child_shifts_ports_and_raises_watermarks():
@@ -27,8 +27,8 @@ def test_new_child_shifts_ports_and_raises_watermarks():
     assert st.watermark[1] == 2
     third = s.add_leaf(0)
     assert st.watermark[1] == 3
-    assert net.ports[0][1] == third          # the newest child takes port 1
-    assert sorted(net.ports[0]) == [1, 2, 3]  # older children shifted up
+    assert net.child_at(0, 1) == third          # the newest child takes port 1
+    assert sorted(ports_at(net, 0)) == [1, 2, 3]  # older children shifted up
 
 
 def test_deleting_child_compacts_ports_and_watermarks():
@@ -38,13 +38,13 @@ def test_deleting_child_compacts_ports_and_watermarks():
         s.add_leaf(0)
     st = s.core.states[0]
     # pick the child sitting at port 2 and note the watermark levels it is in
-    victim = net.ports[0][2]
+    victim = net.child_at(0, 2)
     marks_before = list(st.watermark)
     s.remove_leaf(victim)
     for l in range(1, s.core.levels):
         want = marks_before[l] - 1 if marks_before[l] >= 2 else marks_before[l]
         assert st.watermark[l] == want
-    assert sorted(net.ports[0]) == list(range(1, len(net.children[0]) + 1))
+    assert sorted(ports_at(net, 0)) == list(range(1, len(net.children[0]) + 1))
 
 
 def test_designer_scoped_ports_are_the_watermark_prefix():
@@ -56,7 +56,7 @@ def test_designer_scoped_ports_are_the_watermark_prefix():
     for v in net.alive_nodes():
         for l in range(1, core.levels):
             kids = core.bookkeeping.children_in_scope(v, l)
-            got = [net.port_to[v][c] for c in kids]
+            got = [net.down_port[c] for c in kids]
             assert got == list(range(1, core.states[v].watermark[l] + 1))
             assert set(kids) == set(core.ground_children_in_scope(v, l))
 
@@ -74,7 +74,7 @@ def test_adversary_add_beyond_count_targets_next_slot():
     assert c_after >= 1
     # tables of the first c children jointly name the scoped ports
     got = {core.states[order[i]].slot_table[1] for i in range(c_after)}
-    truth = {net.port_to[0][c] for c in core.ground_children_in_scope(0, 1)}
+    truth = {net.down_port[c] for c in core.ground_children_in_scope(0, 1)}
     assert got == truth
 
 
@@ -128,8 +128,8 @@ def test_deletion_case_only_count_drops():
     for l in (1, 2):
         assert core.states[0].scoped_count[l] == 3
         for u in (u1, u2, u3):
-            assert core.states[u].slot_table[l] == net.port_to[0][u]
-            assert core.states[u].slot_backref[l] == net.port_to[0][u]
+            assert core.states[u].slot_table[l] == net.down_port[u]
+            assert core.states[u].slot_backref[l] == net.down_port[u]
     tables_before = {u: list(core.states[u].slot_table) for u in (u2, u3)}
     core.apply_remove(u1)
     for l in (1, 2):

@@ -141,7 +141,7 @@ def test_stray_backref_outside_every_lower_scope_fires():
     parent that hosts no scoped child."""
     net, core = _grown("adversary")
     v, u = _unscoped_child(net, core)
-    core.states[u].slot_backref[1] = net.port_to[v][u]
+    core.states[u].slot_backref[1] = net.down_port[u]
     _fires(core, f"adversary backref presence at node {v} level 1 child {u}")
 
 
@@ -167,7 +167,7 @@ def test_a_child_lowered_into_a_scope_makes_its_parent_checked(port_model,
     v, u = _unscoped_child(net, core)
     l = core.levels - 1
     core.states[u].top_scope = l - 1
-    _fires(core, text.format(v=v, l=l, p=net.port_to[v][u]))
+    _fires(core, text.format(v=v, l=l, p=net.down_port[u]))
 
 
 def test_adversary_backref_target_fires():
@@ -202,25 +202,35 @@ def test_dead_holder_fires():
     _fires(core, f"dead node {dead} holds copies")
 
 
-def test_swapped_port_to_entry_fires():
-    net, core = _grown("adversary")
-    v = next(v for v in net.alive_nodes() if len(net.port_to[v]) >= 2)
-    a, b = list(net.port_to[v])[:2]
-    pt = net.port_to[v]
-    pt[a], pt[b] = pt[b], pt[a]
-    _fires(core, f"node {v}: ports ")
-    assert net.check_ports() != []
+@pytest.mark.parametrize("port_model", ["designer", "adversary"])
+def test_child_port_equal_to_the_parent_port_fires(port_model):
+    net, core = _grown(port_model)
+    v = next(v for v in net.alive_nodes()
+             if v != net.root and net.children[v])
+    net.down_port[net.children[v][-1]] = net.up_port[v]
+    _fires(core, f"node {v}: parent port {net.up_port[v]} is also a "
+                 f"child port")
+
+
+@pytest.mark.parametrize("port_model", ["designer", "adversary"])
+def test_a_deleted_child_leaves_no_port_behind(port_model):
+    """Both ports of a removed leaf's edge are dropped with it, so no
+    entry for it can linger at its parent."""
+    net, core = _grown(port_model)
+    leaf = next(v for v in net.alive_nodes() if v != net.root
+                and net.is_leaf(v) and len(net.children[net.parent[v]]) > 1)
+    core.apply_remove(leaf)
+    assert leaf not in net.down_port and leaf not in net.up_port
+    edges = set(net.alive_list) - {net.root}
+    assert net.down_port.keys() == net.up_port.keys() == edges
+    assert core.scan_invariants() == []
 
 
 def test_compact_port_gap_fires():
     net, core = _grown("designer")
     v, l, _ = _scoped_child(net, core)
     c = net.children_by_port(v)[-1]
-    q = net.port_to[v][c]
-    gap = max(net.ports[v]) + 5
-    del net.ports[v][q]
-    net.ports[v][gap] = c
-    net.port_to[v][c] = gap
+    net.down_port[c] += 5
     _fires(core, f"node {v}: compact child ports")
     # the watermark prefix 1..m no longer names the moved child's port
     _fires(core, f"designer watermark at node {v} level {l}")
@@ -230,11 +240,7 @@ def test_adversary_port_above_cap_fires():
     net, core = _grown("adversary")
     v = next(v for v in net.alive_nodes() if net.children[v])
     c = net.children[v][0]
-    q = net.port_to[v][c]
-    over = net.port_cap + 1
-    del net.ports[v][q]
-    net.ports[v][over] = c
-    net.port_to[v][c] = over
+    net.down_port[c] = net.port_cap + 1
     _fires(core, f"node {v}: adversary ports")
 
 

@@ -4,9 +4,9 @@ import pytest
 
 from dynlabel import (Network, PortAssignment, ScenarioEvent, format_scenario,
                       parse_scenario)
-from dynlabel.simnet import DeadNeighborError, InvalidEvent
+from dynlabel.simnet import DeadNeighborError, InvalidEvent, SimulationError
 
-from _util import build_net, scope_of
+from _util import build_net, ports_at, scope_of
 
 
 class FixedPorts:
@@ -24,15 +24,16 @@ def test_add_to_singleton_root():
     child = net.add_leaf(0)
     assert child == 1
     assert net.alive_count == 2
-    assert len(net.ports[0]) == 1
-    assert net.ports[0][1] == child
+    assert ports_at(net, 0) == [1]
+    assert net.child_at(0, 1) == child
 
 
 def test_adversary_scripted_port():
     net = Network(assignment=PortAssignment.ADVERSARY, rng=FixedPorts([7, 3]))
     child = net.add_leaf(0)
-    assert net.ports[0][7] == child
-    assert net.port_to[child][0] == 3
+    assert net.child_at(0, 7) == child
+    assert net.down_port[child] == 7
+    assert net.up_port[child] == 3
 
 
 def test_hundred_adds_to_root_have_distinct_ports():
@@ -40,7 +41,7 @@ def test_hundred_adds_to_root_have_distinct_ports():
                   port_cap=512)
     for _ in range(100):
         net.add_leaf(0)
-    ports = list(net.ports[0])
+    ports = ports_at(net, 0)
     assert len(ports) == 100
     assert len(set(ports)) == 100
 
@@ -50,7 +51,7 @@ def test_remove_only_child_back_to_singleton():
     c = net.add_leaf(0)
     net.remove_leaf(c)
     assert net.alive_count == 1
-    assert net.ports[0] == {}
+    assert ports_at(net, 0) == []
 
 
 def test_remove_internal_node_rejected():
@@ -81,8 +82,19 @@ def test_send_one_hop_counts_one():
     net = Network()
     net.add_leaf(0)
     before = net.ledger.messages_total
-    net.send(0, net.port_to[0][1])
+    net.send(0, 1, "signal")
     assert net.ledger.messages_total == before + 1
+
+
+def test_send_to_a_node_that_is_not_a_neighbour_raises():
+    net = build_net([0, 0, 1, 1])
+    net.remove_leaf(4)
+    # siblings, grandparent and grandchild, self, unknown, from the removed
+    for frm, to in ((1, 2), (0, 3), (3, 0), (0, 0), (0, 9), (4, 1)):
+        with pytest.raises(SimulationError, match="not a neighbour"):
+            net.send(frm, to, "signal")
+    assert net.ledger.messages_total == 0
+    assert net.ledger.messages_to_dead == 0
 
 
 def test_relay_along_path_counts_length():
@@ -100,7 +112,7 @@ def test_manual_broadcast_costs_edge_count():
     while stack:
         v = stack.pop()
         for c in net.children_by_port(v):
-            net.send(v, net.port_to[v][c])
+            net.send(v, c, "broadcast")
             stack.append(c)
     assert net.ledger.messages_total - before == net.alive_count - 1
 
@@ -108,11 +120,9 @@ def test_manual_broadcast_costs_edge_count():
 def test_send_to_dead_neighbor_raises_and_counts():
     net = Network()
     c = net.add_leaf(0)
-    port = net.port_to[0][c]
     net.remove_leaf(c)
-    net.ports[0][port] = c  # resurrect the stale port for the check
     with pytest.raises(DeadNeighborError):
-        net.send(0, port)
+        net.send(0, c, "signal")
     assert net.ledger.messages_to_dead == 1
 
 
@@ -234,8 +244,27 @@ def test_full_adversary_port_range_rejects_the_add():
                   port_cap=1)
     net.add_leaf(0)
     net.add_leaf(0)
-    before = (net.next_id, dict(net.ports[0]), net.alive_count)
+    before = (net.next_id, ports_at(net, 0), net.alive_count)
     with pytest.raises(InvalidEvent, match="no free port"):
         net.add_leaf(0)
-    assert (net.next_id, dict(net.ports[0]), net.alive_count) == before
+    assert (net.next_id, ports_at(net, 0), net.alive_count) == before
+    assert net.check_ports() == []
+
+
+def test_full_adversary_port_range_at_a_non_root_node_counts_its_parent_port():
+    """Ports 0..c at a non-root node: its parent port leaves c for
+    children, and a draw equal to the parent port is drawn again."""
+    cap = 3
+    net = Network(assignment=PortAssignment.ADVERSARY, port_cap=cap,
+                  rng=FixedPorts([1, 2]))
+    u = net.add_leaf(0)
+    assert net.up_port[u] == 2
+    net.rng = FixedPorts([2, 0, 0, 1, 0, 3, 0])
+    kids = [net.add_leaf(u) for _ in range(cap)]
+    assert [net.down_port[c] for c in kids] == [0, 1, 3]
+    assert net.rng.script == []          # the draw of 2 was redrawn
+    before = (net.next_id, dict(net.down_port), dict(net.up_port))
+    with pytest.raises(InvalidEvent, match="no free port"):
+        net.add_leaf(u)
+    assert (net.next_id, net.down_port, net.up_port) == before
     assert net.check_ports() == []

@@ -103,9 +103,9 @@ def test_routing_root_to_leaf_and_back():
     net = build_net([0, 0, 1], assignment=PortAssignment.STABLE)
     labels = _mark(net, "routing")
     got = routing_decode(labels[0], labels[3])
-    assert got == ("port", net.port_to[0][1], net.port_to[3][1])
+    assert got == ("port", net.down_port[1], net.up_port[3])
     got = routing_decode(labels[3], labels[0])
-    assert got[1] == net.port_to[3][1]  # leaf routes via its parent port
+    assert got[1] == net.up_port[3]  # leaf routes via its parent port
 
 
 def test_routing_all_ordered_pairs_small_tree():
