@@ -156,11 +156,11 @@ class FiniteScheme(_CoreDriver):
         self.core = SchemeCore(net, function, quota=quota, levels=levels,
                                verify_scopes=verify_scopes)
         self.core.install_fresh()
-        self.core.on_finished = self._finish
-        self.joins_at_finish = None
 
-    def _finish(self, count):
-        self.joins_at_finish = self.core.joins
+    @property
+    def joins_at_finish(self):
+        """The join count once finished (no join follows), else None."""
+        return self.core.joins if self.core.finished else None
 
     @property
     def finished(self) -> bool:
@@ -193,31 +193,19 @@ class PhasedScheme(_CoreDriver):
         self.event_index = 0        # events applied, rejected ones not counted
         self.phase_log = []
         self.restart_log = []
-        fresh = net.alive_count == 1
-        if fresh:
-            n0, quota, levels = 1, quota_fn.value(1), 1
-        else:
-            n0 = self._measure_tree()
-            params = compute_phase_params(n0, quota_fn)
-            quota, levels = params.quota, params.levels
-        self.core = SchemeCore(net, function, quota=quota, levels=levels,
-                               deletions=self.deletions,
+        self.core = SchemeCore(net, function, quota=quota_fn.value(1),
+                               levels=1, deletions=self.deletions,
                                verify_scopes=verify_scopes)
-        if fresh:
-            self.core.install_fresh()
-        else:
-            self.core.install_on_tree()
+        self.core.install_fresh()
         self.core.on_finished = self._phase_shift
         self.tracker = None
         if self.deletions:
             self.tracker = make_tracker(tracker)
-            self.tracker.restart_baseline(n0)
+            self.tracker.restart_baseline(1)
 
     def _measure_tree(self) -> int:
-        """The alive node count; counted by a ``watch`` convergecast when
-        nodes can leave, since the root then has no standing count."""
-        if not self.deletions:
-            return self.net.alive_count
+        """The alive node count, taken by a ``watch`` convergecast: nodes
+        can leave, so the root has no standing count."""
         return self.net.broadcast_convergecast(
             self.net.root, self.net.children, lambda v: 1, category="watch")
 

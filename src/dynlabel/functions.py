@@ -176,7 +176,8 @@ class SeparationLevel(TreeFunction):
 
 
 class Routing(TreeFunction):
-    """First-hop routing; asymmetric, so values carry both directions."""
+    """First-hop routing; asymmetric, so values carry both directions.
+    Values name stored ports: routing needs stable or adversary ports."""
 
     name = "routing"
     symmetric = False

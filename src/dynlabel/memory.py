@@ -4,9 +4,9 @@ Each node must be able to tell, for every level l below the current
 scheme height, which of its ports lead to children inside its level-l
 subtree.  Two strategies are provided:
 
-* designer: the node keeps its scoped ports as the contiguous prefix
-  1..watermark[l] by renumbering ports on every event (new child takes
-  port 1 and shifts the rest, removals compact).
+* designer: on compact ports, where a child's port is its position in
+  the children list, the node keeps its scoped ports as the contiguous
+  prefix 1..watermark[l].
 
 * adversary: ports are immutable, so each child carries a table with
   one slot per level; the union of the first ``count[l]`` children's
@@ -23,7 +23,7 @@ child joins, until that child's memory next changes (``BackupStore``).
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import compress, count
 
 
 class MemoryError_(RuntimeError):
@@ -90,14 +90,15 @@ class DesignerBookkeeping:
         self.on_reset(scope, self.engine.levels)
 
     def on_child_removed(self, parent, child, snapshot):
-        q = self.engine.net.down_port[child]
+        # the leaf's port: its position, read before it leaves the list
+        q = self.engine.net.children[parent].index(child) + 1
         st = self.engine.states[parent]
         for l in range(1, self.engine.levels):
             if st.watermark[l] >= q:
                 st.watermark[l] -= 1
 
     def children_in_scope(self, v, level):
-        # compact children hold ports 1..k in list order
+        # a compact child's port is its position in the list
         return self.engine.net.children[v][
             :self.engine.states[v].watermark[level]]
 
@@ -117,15 +118,14 @@ class DesignerBookkeeping:
         comparisons run at hosts and at nodes failing that test."""
         engine = self.engine
         levels = engine.levels
-        states, down = engine.states, engine.net.down_port
-        children = engine.net.children
+        states, children = engine.states, engine.net.children
         hosts = _hosts(flag, engine.net.parent, levels)
         zero = [0] * (levels + 1)
         out = []
         for v in [v for v in flag
                   if v in hosts or states[v].watermark != zero]:
             watermark = states[v].watermark
-            joins = _scope_joins(children[v], down, flag, levels)
+            joins = _scope_joins(children[v], count(1), flag, levels)
             want = set()
             for l in range(1, levels):
                 want.update(joins[l])
@@ -310,7 +310,8 @@ class AdversaryBookkeeping:
                 # back-reference, as it should be
                 kids = [u for u in order if flag[u] < levels - 1
                         or states[u].slot_backref != empty]
-            joins = _scope_joins(order, down, flag, levels)
+            joins = _scope_joins(order, map(down.__getitem__, order), flag,
+                                 levels)
             want = set()
             for l in range(1, levels):
                 want.update(joins[l])
@@ -344,15 +345,16 @@ def _hosts(flag, parent, levels) -> set:
     return {parent[v] for v, t in flag.items() if t < levels - 1}
 
 
-def _scope_joins(order, down, flag, levels) -> list:
-    """Entry l, for 1 <= l < levels: the ports of the children flagged
-    l - 1, which join the level-l scope and stay in every higher one, so
-    the scope's ports are the union of entries 1..l."""
+def _scope_joins(order, ports, flag, levels) -> list:
+    """Entry l, for 1 <= l < levels: the ports (``ports`` is aligned
+    with ``order``) of the children flagged l - 1, which join the level-l
+    scope and stay in every higher one, so the scope's ports are the
+    union of entries 1..l."""
     joins = [[] for _ in range(levels)]
-    for c in order:
+    for c, p in zip(order, ports):
         t = flag[c]
         if t < levels - 1:
-            joins[t + 1].append(down[c])
+            joins[t + 1].append(p)
     return joins
 
 

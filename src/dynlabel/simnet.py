@@ -6,15 +6,15 @@ ledger.  Protocol layers register listeners and are informed of events
 synchronously; event notifications themselves cost no messages, only
 explicit ``send`` calls are charged, one per hop to a tree neighbour.
 
-A port number belongs to one end of a tree edge.  Both numbers of an
-edge are stored once, under its child end c: ``down_port[c]`` is the
-port at c's parent toward c, ``up_port[c]`` the port at c toward its
-parent.  Port assignment depends on the port model and on whether the
-running static scheme embeds port numbers in labels:
+A port number belongs to one end of a tree edge.  Stored ports are
+keyed by the edge's child end c: ``up_port[c]`` is the port at c toward
+its parent, ``down_port[c]`` the port at c's parent toward c.  Port
+assignment depends on the port model and on whether the running static
+scheme embeds port numbers in labels:
 
-* ``compact``    -- node-chosen ports kept as the prefix 1..deg: a new
-  child shifts every existing port up by one and takes port 1, a
-  removed child's larger siblings shift down.
+* ``compact``    -- node-chosen ports kept as the prefix 1..deg: a
+  child's port is its position in its parent's children list (a new
+  child goes first), so it is neither stored nor ever rewritten.
 * ``stable``     -- node-chosen ports that never move once assigned
   (required when labels reference ports).
 * ``adversary``  -- a seeded callback picks arbitrary distinct
@@ -150,11 +150,11 @@ class Network:
         self.children = {0: []}          # alive children, port order
         self.depth = {0: 0}
         self.alive = {0: True}
-        self.alive_count = 1
         self.alive_list = [0]            # alive nodes, stable swap-remove order
         self._alive_pos = {0: 0}
-        # the two port numbers of each tree edge, keyed by its child end c
-        self.down_port = {}              # c -> port at parent(c) toward c
+        # stored port numbers of each tree edge, keyed by its child end c
+        self.down_port = {}              # c -> port at parent(c) toward c,
+                                         # stable and adversary edges only
         self.up_port = {}                # c -> port at c toward parent(c)
         self.ledger = MetricsLedger()
         self._add_listeners = []
@@ -170,6 +170,10 @@ class Network:
 
     # -- queries ------------------------------------------------------
 
+    @property
+    def alive_count(self) -> int:
+        return len(self.alive_list)
+
     def is_alive(self, v) -> bool:
         return self.alive.get(v, False)
 
@@ -184,8 +188,9 @@ class Network:
         return self.children[v]
 
     def child_at(self, v, port):
-        """v's child behind ``port``, or None: a bisect over the children
-        list, which is kept in port order."""
+        """v's child behind a stored ``port`` (stable or adversary
+        ports), or None: a bisect over the children list, which is kept
+        in port order."""
         kids = self.children[v]
         down = self.down_port
         i = bisect.bisect_left(kids, port, key=down.__getitem__)
@@ -206,7 +211,6 @@ class Network:
         self.children[child] = []
         self.depth[child] = self.depth[parent] + 1
         self.alive[child] = True
-        self.alive_count += 1
         self._alive_pos[child] = len(self.alive_list)
         self.alive_list.append(child)
         for cb in self._add_listeners:
@@ -223,15 +227,10 @@ class Network:
             raise InvalidEvent(f"remove-leaf: {leaf} has children")
         for cb in self._remove_listeners:
             cb(leaf)
-        kids = self.children[self.parent[leaf]]
-        at = kids.index(leaf)
-        del kids[at]
-        if self.assignment is PortAssignment.COMPACT:
-            for c in kids[at:]:
-                self.down_port[c] -= 1
-        del self.down_port[leaf], self.up_port[leaf]
+        self.children[self.parent[leaf]].remove(leaf)
+        self.down_port.pop(leaf, None)
+        del self.up_port[leaf]
         self.alive[leaf] = False
-        self.alive_count -= 1
         i = self._alive_pos.pop(leaf)
         last = self.alive_list.pop()
         if last != leaf:
@@ -240,16 +239,17 @@ class Network:
 
     def _assign_ports(self, parent, child):
         """Number the new edge at both ends (q at the parent, r at the
-        child) and place the child in the parent's port-ordered list:
-        first for compact ports, last for stable ones."""
+        child) and place the child in the parent's port-ordered list.  A
+        compact child goes first, so its position is its port q = 1; the
+        parent's own up port moves up past it, and q is not stored."""
         down, up, kids = self.down_port, self.up_port, self.children[parent]
         if self.assignment is PortAssignment.COMPACT:
-            for c in kids:
-                down[c] += 1
             if parent in up:
                 up[parent] += 1
-            q = r = 1
-        elif self.assignment is PortAssignment.STABLE:
+            up[child] = 1
+            kids.insert(0, child)
+            return
+        if self.assignment is PortAssignment.STABLE:
             q = max(up.get(parent, 0), down[kids[-1]] if kids else 0) + 1
             r = 0
         else:
@@ -273,8 +273,9 @@ class Network:
                 return q
 
     def normalize_ports(self, v) -> None:
-        """Designer renumbering of a compact node: its children already
-        hold 1..k, so only the port to its parent moves, to k+1."""
+        """Designer renumbering of a compact node: its children's ports
+        are their positions 1..k, so only the port to its parent moves,
+        to k+1."""
         if v in self.up_port:
             self.up_port[v] = len(self.children[v]) + 1
 
@@ -333,15 +334,15 @@ class Network:
 
     def check_ports(self, nodes=None) -> list[str]:
         """Port faults at every node of ``nodes`` (all alive nodes when
-        omitted): compact children must hold ports 1..#children and
-        other children strictly increasing ports in list order, a
-        node's parent port must not be one of its child ports, and
-        adversary ports must lie in 0..port_cap.
+        omitted): a node's parent port must not be one of its child
+        ports, stored child ports must increase strictly in list order,
+        and adversary ports must lie in 0..port_cap.
 
-        Each edge's two ports are stored once, keyed by its child end,
-        so a port can neither outlive its edge nor disagree with another
-        map.  One pass over the nodes reads their child ports; message
-        strings are built only at faults."""
+        Compact child ports are list positions, so they cannot skip,
+        repeat or fall out of order; a stored port is kept once, keyed
+        by its edge's child end, so it cannot outlive its edge.  One
+        pass over the nodes reads their child ports; message strings
+        are built only at faults."""
         if nodes is None:
             nodes = self.alive_list
         down, up, children = self.down_port, self.up_port, self.children
@@ -351,12 +352,13 @@ class Network:
             kids = children[v]
             if not kids:
                 continue
-            got = list(map(down.__getitem__, kids))
             if compact:
-                if got != list(range(1, len(kids) + 1)):
-                    bad.append(f"node {v}: compact child ports {got} "
-                               f"are not 1..{len(kids)}")
-            elif any(map(ge, got, got[1:])):
+                if 1 <= up.get(v, 0) <= len(kids):
+                    bad.append(f"node {v}: parent port {up[v]} is also a "
+                               f"child port")
+                continue
+            got = list(map(down.__getitem__, kids))
+            if any(map(ge, got, got[1:])):
                 bad.append(f"node {v}: child ports {got} are not in "
                            f"port order")
             if up.get(v) in got:

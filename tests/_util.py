@@ -46,10 +46,19 @@ def build_net(parents, assignment=PortAssignment.COMPACT, seed=0,
     return net
 
 
+def child_ports(net, v):
+    """v's child ports in list order: the positions 1..k on compact
+    ports, the stored down ports otherwise."""
+    kids = net.children[v]
+    if net.assignment is PortAssignment.COMPACT:
+        return list(range(1, len(kids) + 1))
+    return [net.down_port[c] for c in kids]
+
+
 def ports_at(net, v):
-    """Every port number at v, sorted: its children's down ports and,
-    below the root, its own up port."""
-    ports = [net.down_port[c] for c in net.children[v]]
+    """Every port number at v, sorted: its child ports and, below the
+    root, its own up port."""
+    ports = child_ports(net, v)
     if v in net.up_port:
         ports.append(net.up_port[v])
     return sorted(ports)
@@ -150,11 +159,10 @@ def scan_flags(core):
 
 def ref_designer_faults(core, flag):
     """Watermarks against the scoped children, level by level."""
-    levels, states = core.levels, core.states
-    down, children = core.net.down_port, core.net.children
+    levels, states, net = core.levels, core.states, core.net
     out = []
     for v in flag:
-        order = children[v]
+        order = net.children[v]
         watermark = states[v].watermark
         if not order and not any(watermark[1:levels]):
             continue
@@ -163,7 +171,8 @@ def ref_designer_faults(core, flag):
                 out.append(f"designer watermark at node {v} level {l}: "
                            f"{watermark[l]} < 0")
             got = set(range(1, watermark[l] + 1))
-            want = {down[c] for c in order if flag[c] < l}
+            want = {p for c, p in zip(order, child_ports(net, v))
+                    if flag[c] < l}
             if got != want:
                 out.append(f"designer watermark at node {v} level {l}: "
                            f"{sorted(got)} != {sorted(want)}")
@@ -236,13 +245,8 @@ def ref_port_faults(net):
     """Port faults, node by node."""
     bad = []
     for v in net.alive_list:
-        kids = net.children[v]
-        got = [net.down_port[c] for c in kids]
-        if net.assignment is PortAssignment.COMPACT:
-            if got != list(range(1, len(kids) + 1)):
-                bad.append(f"node {v}: compact child ports {got} are not "
-                           f"1..{len(kids)}")
-        elif got != sorted(set(got)):
+        got = child_ports(net, v)
+        if got != sorted(set(got)):
             bad.append(f"node {v}: child ports {got} are not in port order")
         if v in net.up_port and net.up_port[v] in got:
             bad.append(f"node {v}: parent port {net.up_port[v]} is also a "

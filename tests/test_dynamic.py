@@ -10,9 +10,10 @@ from dynlabel import (DynamicScheme, ExactChangeTracker, IncreasingScheme,
                       compute_phase_params, generate_scenario, get_function,
                       scheme_for)
 from dynlabel.harness import build_network, RunConfig, run
+from dynlabel.scheme_core import SchemeError
 from dynlabel.simnet import InvalidEvent
 
-from _util import grow_random
+from _util import build_net, grow_random
 
 
 def test_phase_params_example_ten_nodes_quota_three():
@@ -66,6 +67,12 @@ def test_increasing_scheme_starts_single_level():
     net = Network()
     s = IncreasingScheme(net, "distance", QuotaFunction.parse("pow:0.5"))
     assert (s.quota, s.levels) == (2, 1)
+
+
+@pytest.mark.parametrize("model", [IncreasingScheme, DynamicScheme])
+def test_a_driver_starts_only_on_a_singleton_tree(model):
+    with pytest.raises(SchemeError, match="singleton"):
+        model(build_net([0]), "distance", QuotaFunction.parse("pow:0.5"))
 
 
 def test_increasing_scheme_first_transition_uses_reset_count():

@@ -14,7 +14,7 @@ from dynlabel import (DynamicScheme, IncreasingScheme, Network,
 from dynlabel.harness import RUN_ERRORS
 from dynlabel.simnet import ScenarioEvent
 
-from _util import stale_labels
+from _util import child_ports, stale_labels
 
 NETWORKS = [(PortAssignment.COMPACT, 1 << 20),
             (PortAssignment.STABLE, 1 << 20),
@@ -87,7 +87,7 @@ def test_event_streams_keep_the_state_sound(network, model, seed, events):
         except RUN_ERRORS:
             assert _state(scheme) == before
         for v in net.alive_list:
-            got = list(map(net.down_port.__getitem__, net.children[v]))
+            got = child_ports(net, v)
             assert got == sorted(got)
         assert net.check_ports() == []
         assert scheme.core.labels.keys() == set(net.alive_list)

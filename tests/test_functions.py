@@ -178,9 +178,12 @@ def test_unknown_function_rejected():
 @pytest.mark.parametrize("name", ALL_FUNCTIONS)
 def test_oracle_row_matches_pairwise_oracle(name):
     """One outward walk per row gives the pairwise oracle's values, on
-    random trees with deletions under every port assignment."""
+    random trees with deletions under every port assignment that the
+    function takes: routing values name stored ports, so not compact."""
     fn = get_function(name)
     for assignment in PortAssignment:
+        if name == "routing" and assignment is PortAssignment.COMPACT:
+            continue
         for seed in range(30):
             net = _grown_net(assignment, seed)
             nodes = net.alive_nodes()

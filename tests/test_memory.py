@@ -27,7 +27,7 @@ def test_new_child_shifts_ports_and_raises_watermarks():
     assert st.watermark[1] == 2
     third = s.add_leaf(0)
     assert st.watermark[1] == 3
-    assert net.child_at(0, 1) == third          # the newest child takes port 1
+    assert net.children[0][0] == third          # the newest child takes port 1
     assert sorted(ports_at(net, 0)) == [1, 2, 3]  # older children shifted up
 
 
@@ -38,7 +38,7 @@ def test_deleting_child_compacts_ports_and_watermarks():
         s.add_leaf(0)
     st = s.core.states[0]
     # pick the child sitting at port 2 and note the watermark levels it is in
-    victim = net.child_at(0, 2)
+    victim = net.children[0][1]
     marks_before = list(st.watermark)
     s.remove_leaf(victim)
     for l in range(1, s.core.levels):
@@ -56,7 +56,7 @@ def test_designer_scoped_ports_are_the_watermark_prefix():
     for v in net.alive_nodes():
         for l in range(1, core.levels):
             kids = core.bookkeeping.children_in_scope(v, l)
-            got = [net.down_port[c] for c in kids]
+            got = [net.children[v].index(c) + 1 for c in kids]
             assert got == list(range(1, core.states[v].watermark[l] + 1))
             assert set(kids) == set(core.ground_children_in_scope(v, l))
 

@@ -15,7 +15,7 @@ from dynlabel import (DynamicScheme, FiniteScheme, IncreasingScheme, Network,
                       PortAssignment, QuotaFunction)
 
 from _corpus import SCHEME_FIELDS, _corrupt, corpus
-from _util import (ref_adversary_faults, ref_backup_faults,
+from _util import (child_ports, ref_adversary_faults, ref_backup_faults,
                    ref_designer_faults, ref_ever_share_faults,
                    ref_port_faults, scan_flags)
 
@@ -167,7 +167,8 @@ def test_a_child_lowered_into_a_scope_makes_its_parent_checked(port_model,
     v, u = _unscoped_child(net, core)
     l = core.levels - 1
     core.states[u].top_scope = l - 1
-    _fires(core, text.format(v=v, l=l, p=net.down_port[u]))
+    p = child_ports(net, v)[net.children[v].index(u)]
+    _fires(core, text.format(v=v, l=l, p=p))
 
 
 def test_adversary_backref_target_fires():
@@ -207,33 +208,26 @@ def test_child_port_equal_to_the_parent_port_fires(port_model):
     net, core = _grown(port_model)
     v = next(v for v in net.alive_nodes()
              if v != net.root and net.children[v])
-    net.down_port[net.children[v][-1]] = net.up_port[v]
+    net.up_port[v] = child_ports(net, v)[-1]
     _fires(core, f"node {v}: parent port {net.up_port[v]} is also a "
                  f"child port")
 
 
 @pytest.mark.parametrize("port_model", ["designer", "adversary"])
 def test_a_deleted_child_leaves_no_port_behind(port_model):
-    """Both ports of a removed leaf's edge are dropped with it, so no
-    entry for it can linger at its parent."""
+    """The stored ports of a removed leaf's edge are dropped with it, so
+    no entry for it can linger at its parent; compact child ports are
+    positions and never stored."""
     net, core = _grown(port_model)
     leaf = next(v for v in net.alive_nodes() if v != net.root
                 and net.is_leaf(v) and len(net.children[net.parent[v]]) > 1)
     core.apply_remove(leaf)
     assert leaf not in net.down_port and leaf not in net.up_port
     edges = set(net.alive_list) - {net.root}
-    assert net.down_port.keys() == net.up_port.keys() == edges
+    assert net.up_port.keys() == edges
+    assert net.down_port.keys() == (set() if port_model == "designer"
+                                    else edges)
     assert core.scan_invariants() == []
-
-
-def test_compact_port_gap_fires():
-    net, core = _grown("designer")
-    v, l, _ = _scoped_child(net, core)
-    c = net.children_by_port(v)[-1]
-    net.down_port[c] += 5
-    _fires(core, f"node {v}: compact child ports")
-    # the watermark prefix 1..m no longer names the moved child's port
-    _fires(core, f"designer watermark at node {v} level {l}")
 
 
 def test_adversary_port_above_cap_fires():
@@ -253,12 +247,11 @@ def test_unreachable_node_fires():
     assert "alive count does not match reachable set" in msgs
 
 
-@pytest.mark.parametrize("port_model", ["adversary", "stable", "designer"])
+@pytest.mark.parametrize("port_model", ["adversary", "stable"])
 def test_misordered_children_fire(port_model):
-    """Two children swapped in their parent's list: out of port order,
-    or on compact ports no longer 1..k."""
-    text = ("compact child ports" if port_model == "designer"
-            else "are not in port order")
+    """Two children swapped in their parent's list are out of port
+    order.  Compact child ports are list positions, so they cannot be."""
+    text = "are not in port order"
     net, core = _grown(port_model)
     v = next(v for v in sorted(net.alive_nodes())
              if len(net.children[v]) >= 2)

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from dynlabel import (Network, PortAssignment, ScenarioEvent, format_scenario,
-                      parse_scenario)
+from dynlabel import (DynamicScheme, Network, PortAssignment, QuotaFunction,
+                      ScenarioEvent, format_scenario, parse_scenario)
 from dynlabel.simnet import DeadNeighborError, InvalidEvent, SimulationError
 
 from _util import build_net, ports_at, scope_of
@@ -25,7 +25,9 @@ def test_add_to_singleton_root():
     assert child == 1
     assert net.alive_count == 2
     assert ports_at(net, 0) == [1]
-    assert net.child_at(0, 1) == child
+    stable = Network(assignment=PortAssignment.STABLE)
+    child = stable.add_leaf(0)
+    assert stable.child_at(0, 1) == child
 
 
 def test_adversary_scripted_port():
@@ -167,6 +169,57 @@ def test_port_uniqueness_after_random_events_both_models():
                 net.add_leaf(pool[rng.randrange(len(pool))])
             assert net.check_ports() == []
             assert net.check_tree_shape() == []
+
+
+def _star_stream(adds=2000):
+    """Compact adds at the root, then removals of the children at the
+    front, middle and end of its list: (kind, target) pairs, removal
+    targets picked from the ids the adds hand out (1..adds, listed
+    newest first)."""
+    events = [("A", 0)] * adds
+    for v in (adds, adds // 2, 1, adds - 1, adds // 2 + 1, 2):
+        events.append(("R", v))
+    return events
+
+
+def test_compact_star_stores_no_child_port():
+    """A child's compact port is its position, newest first: after adds
+    and removals anywhere in the list, nothing is stored for it and the
+    root's ports are still exactly 1..k."""
+    net = Network()
+    for kind, v in _star_stream():
+        if kind == "A":
+            net.add_leaf(v)
+        else:
+            net.remove_leaf(v)
+        assert net.down_port == {}
+    kids = net.children[0]
+    assert len(kids) == 1994
+    assert ports_at(net, 0) == list(range(1, len(kids) + 1))
+    assert kids == sorted(kids, reverse=True)
+    assert net.check_ports() == []
+
+
+def test_designer_scheme_on_a_compact_star_scans_clean():
+    net = Network()
+    s = DynamicScheme(net, "distance", QuotaFunction.parse("pow:0.5"))
+    for kind, v in _star_stream():
+        s.apply(ScenarioEvent(kind, v))
+        assert s.scan_invariants() == []
+    assert net.down_port == {}
+
+
+def test_compact_parent_port_on_a_child_position_fires():
+    """The one compact port fault left: a node's parent port among its
+    children's positions 1..k."""
+    net = build_net([0, 1, 1, 1])
+    assert net.up_port[1] == 4 and net.check_ports() == []
+    for p in (1, 2, 3):
+        net.up_port[1] = p
+        assert net.check_ports() == [f"node 1: parent port {p} is also a "
+                                     f"child port"]
+    net.up_port[1] = 9
+    assert net.check_ports() == []
 
 
 def test_replay_message_count_is_deterministic():
