@@ -193,15 +193,17 @@ class PhasedScheme(_CoreDriver):
         self.event_index = 0        # events applied, rejected ones not counted
         self.phase_log = []
         self.restart_log = []
-        self.core = SchemeCore(net, function, quota=quota_fn.value(1),
-                               levels=1, deletions=self.deletions,
-                               verify_scopes=verify_scopes)
-        self.core.install_fresh()
-        self.core.on_finished = self._phase_shift
         self.tracker = None
         if self.deletions:
             self.tracker = make_tracker(tracker)
             self.tracker.restart_baseline(1)
+        # installed last: nothing after it may reject the driver, which
+        # would leave a core listening to the network
+        self.core = SchemeCore(net, function, quota=quota_fn.value(1),
+                               levels=1, deletions=self.deletions,
+                               verify_scopes=verify_scopes)
+        self.core.on_finished = self._phase_shift
+        self.core.install_fresh()
 
     def _measure_tree(self) -> int:
         """The alive node count, taken by a ``watch`` convergecast: nodes

@@ -209,9 +209,36 @@ def build_runner(config: RunConfig, net: Network):
                   verify_scopes=config.invariants != "off")
 
 
+class DecodeMemo:
+    """One run's decoded values from its last exhaustive check: the
+    label each node had then, and per node u its row ``{v: got}``."""
+
+    __slots__ = ("labels", "rows")
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self) -> None:
+        self.labels = {}
+        self.rows = {}
+
+
 def verify_step(runner, fn, mode, sample_size, rng, event_index, seed,
-                report: VerificationReport) -> None:
-    """Check decoded values against the oracle for one event's tree."""
+                report: VerificationReport, memo: DecodeMemo) -> None:
+    """Check decoded values against the oracle for one event's tree.
+
+    The exhaustive branch compares every pair's decoded value with the
+    oracle's, but decodes a pair again only when one of its two labels
+    changed: a pair (u, v) whose labels are both the same objects
+    (``is``) as at the last check takes its value from ``memo``.  The
+    decoder reads nothing but the two labels, and the scheme stores a
+    new label object whenever a label is rebuilt, so the reused value is
+    the one a fresh decode would return; a stored label replaced from
+    outside is a new object too, and is decoded again.  Each check
+    rewrites the memo with its own labels and values.  A step that
+    samples clears the memo, so a tree grown past the exhaustive limit
+    holds no stale rows.
+    """
     net = runner.net
     n = net.alive_count
     exhaustive = (mode == "exhaustive"
@@ -223,19 +250,33 @@ def verify_step(runner, fn, mode, sample_size, rng, event_index, seed,
     if exhaustive:
         nodes = sorted(net.alive_nodes())
         labels = {v: runner.label(v) for v in nodes}
+        last = memo.labels
+        kept = {v for v in nodes if last.get(v) is labels[v]}
+        last_rows = memo.rows
+        rows = {}
         pi = runner.core.pi
         ordered = not fn.symmetric
         for i, u in enumerate(nodes):
-            start = 0 if ordered else i
-            row = fn.oracle_row(net, u)
-            for v in nodes[start:]:
-                got = decode_labels(fn, pi, labels[u], labels[v])
-                want = row[v]
-                checked += 1
+            tail = nodes if ordered else nodes[i:]
+            want_row = fn.oracle_row(net, u)
+            lu = labels[u]
+            old = last_rows[u] if u in kept else None
+            got_row = rows[u] = {}
+            for v in tail:
+                if old is not None and v in kept:
+                    got = old[v]
+                else:
+                    got = decode_labels(fn, pi, lu, labels[v])
+                got_row[v] = got
+                want = want_row[v]
                 if got != want:
                     report.mismatches.append(Mismatch(
                         seed, event_index, u, v, repr(got), repr(want)))
+            checked += len(tail)
+        memo.labels = labels
+        memo.rows = rows
     else:
+        memo.clear()
         pool = net.alive_list
         for _ in range(sample_size):
             u = pool[rng.randrange(len(pool))]
@@ -330,6 +371,7 @@ def run(config: RunConfig) -> VerificationReport:
     rng_verify = random.Random(config.seed * 1_000_003 + 77)
     report = VerificationReport(config=dataclasses.asdict(config))
     bound_tracker = _BoundTracker(config, net, runner) if config.bounds else None
+    memo = DecodeMemo()
     for i, ev in enumerate(events, 1):
         try:
             runner.apply(ev)
@@ -337,7 +379,7 @@ def run(config: RunConfig) -> VerificationReport:
             net.ledger.snapshot_event(i, net.alive_count)
             if mode != "off":
                 verify_step(runner, fn, mode, sample_size, rng_verify, i,
-                            config.seed, report)
+                            config.seed, report, memo)
             if config.invariants == "every-event":
                 for msg in runner.scan_invariants():
                     report.invariant_violations.append(f"event {i}: {msg}")

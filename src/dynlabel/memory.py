@@ -53,9 +53,13 @@ def next_sibling(net, v, u):
     return order[(order.index(u) + 1) % len(order)]
 
 
-def prev_sibling(net, v, u):
+def copy_holder(net, v, u):
+    """Where v's child u keeps its backup copy: at v when u is an only
+    child, else at u's next sibling in cyclic port order."""
     order = net.children[v]
-    return order[order.index(u) - 1]
+    if len(order) == 1:
+        return v
+    return order[(order.index(u) + 1) % len(order)]
 
 
 # -- port bookkeeping --------------------------------------------------------
@@ -391,46 +395,66 @@ class BackupStore:
     def __init__(self, engine):
         self.engine = engine
         self.copies = {}        # holder -> {subject: snapshot}
+        self.holders = {}       # subject -> the nodes holding its copy
 
     def _erase(self, holder, subject):
         held = self.copies.get(holder)
         if held is not None:
             held.pop(subject, None)
+        holders = self.holders.get(subject)
+        if holders is not None:
+            holders.discard(holder)
+
+    def _erase_all(self, subject):
+        """Drop every copy of subject, wherever it is held."""
+        copies = self.copies
+        for holder in self.holders.pop(subject, ()):
+            held = copies.get(holder)
+            if held is not None:
+                held.pop(subject, None)
 
     def _place(self, holder, subject):
         net = self.engine.net
         snap = take_snapshot(self.engine.states[subject])
         self.copies.setdefault(holder, {})[subject] = snap
+        holders = self.holders.get(subject)
+        if holders is None:
+            self.holders[subject] = {holder}
+        else:
+            holders.add(holder)
         # a hop to the parent, two when relayed on to a sibling
         net.ledger.count("backup", 1 if holder == net.parent[subject] else 2)
 
-    def _refresh(self, subject, order):
-        """Place subject's copy at its holder among ``order``, its
-        parent's children in port order.  The holder drops any copy of
-        another of them, the parent and siblings their old ones."""
-        parent = self.engine.net.parent[subject]
-        holder = (parent if len(order) == 1
-                  else order[(order.index(subject) + 1) % len(order)])
-        for s in list(self.copies.get(holder, ())):
-            if s in order and s != subject:
-                self._erase(holder, s)
-        for x in (parent, *order):
-            self._erase(x, subject)
+    def _refresh(self, subject, holder):
+        """Place subject's copy at ``holder`` (see ``copy_holder``).  The
+        holder drops any copy of another child of subject's parent, and
+        every other copy of subject goes.  A holder keeps at most two
+        copies and a subject has at most two holders, so this costs O(1)
+        whatever the parent's degree."""
+        held = self.copies.get(holder)
+        if held:
+            parent_of = self.engine.net.parent
+            parent = parent_of[subject]
+            for s in tuple(held):
+                if s != subject and parent_of[s] == parent:
+                    self._erase(holder, s)
+        self._erase_all(subject)
         self._place(holder, subject)
 
     def refresh(self, subject):
         """Re-place the copy after subject's memory changed."""
-        v = self.engine.net.parent[subject]
+        net = self.engine.net
+        v = net.parent[subject]
         if v is not None:
-            self._refresh(subject, self.engine.net.children[v])
+            self._refresh(subject, copy_holder(net, v, subject))
 
     def on_leaf_added(self, parent, child):
         """Back up the new child, and its previous sibling at it."""
         net = self.engine.net
         order = net.children[parent]
-        self._refresh(child, order)
+        self._refresh(child, copy_holder(net, parent, child))
         if len(order) > 1:
-            self._place(child, prev_sibling(net, parent, child))
+            self._place(child, order[order.index(child) - 1])
 
     def read_copy(self, parent, child) -> dict:
         """Fetch the copy of a child's memory; charged if held by a sibling."""
@@ -446,14 +470,18 @@ class BackupStore:
         raise MemoryError_(f"no backup copy of node {child}")
 
     def on_child_removed(self, parent, child):
-        """Back up the removed child's previous sibling among the rest."""
+        """Back up the removed child's previous sibling among the rest:
+        at the parent if it is left alone, else at the sibling that
+        followed the removed child."""
         order = self.engine.net.children[parent]
-        rest = [w for w in order if w != child]
-        if rest:
-            self._refresh(order[order.index(child) - 1], rest)
-        for x in (parent, *order):
-            self._erase(x, child)
-        self.copies.pop(child, None)
+        if len(order) > 1:
+            i = order.index(child)
+            holder = (parent if len(order) == 2
+                      else order[(i + 1) % len(order)])
+            self._refresh(order[i - 1], holder)
+        self._erase_all(child)
+        for s in self.copies.pop(child, ()):
+            self.holders[s].discard(child)
 
     def held_bits(self, holder) -> int:
         return sum(snapshot_bits(s) for s in self.copies.get(holder, {}).values())

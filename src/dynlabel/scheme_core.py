@@ -105,22 +105,25 @@ class SchemeCore:
         # shares its parent's list.
         self._anchor_rows: dict[int, list] = {}
         self.labels: dict = {}           # alive node -> assembled label
-        net.on_add(self._joined)
-        net.on_remove(self._leaving)
 
     # -- installation ---------------------------------------------------
 
     def install_fresh(self) -> None:
         """Start on a single-node tree; labels installed without a
-        counted reset so the root is queryable from the start."""
-        if self.net.alive_count != 1:
+        counted reset so the root is queryable from the start.  Only
+        then does the core listen to the network's events, so a core
+        that was never installed leaves the network as it found it."""
+        net = self.net
+        if net.alive_count != 1:
             raise SchemeError("fresh install requires a singleton tree")
-        root = self.net.root
-        labels = self.pi.marker(self.net, root, {root: []})
+        root = net.root
+        labels = self.pi.marker(net, root, {root: []})
         self._fresh_states(labels)
         self.last_reset_labels = labels
         self.last_reset_count = 1
         self._flush_event()
+        net.on_add(self._joined)
+        net.on_remove(self._leaving)
 
     def install_on_tree(self) -> None:
         """Start (or restart) on the current multi-node tree: one counted

@@ -3,6 +3,10 @@
 import random
 
 from dynlabel import Network, PortAssignment
+from dynlabel.harness import (AUTO_EXHAUSTIVE_LIMIT, EXHAUSTIVE_HARD_CAP,
+                              ExhaustiveCapError, Mismatch)
+from dynlabel.memory import BackupStore, take_snapshot
+from dynlabel.scheme_core import decode_labels
 
 
 def rooted_trees(n):
@@ -274,3 +278,97 @@ def ref_backup_faults(store):
         if len(held) > 2:
             out.append(f"node {holder} holds {len(held)} copies")
     return out
+
+
+# -- reference verification and backup placement ----------------------------
+
+
+def ref_verify_step(runner, fn, mode, sample_size, rng, event_index, seed,
+                    report, memo=None):
+    """``harness.verify_step`` with no decode memo: every pair of an
+    exhaustive check is decoded.  Takes (and ignores) the memo, so it can
+    stand in for the real step inside ``harness.run``."""
+    net = runner.net
+    n = net.alive_count
+    exhaustive = (mode == "exhaustive"
+                  or (mode == "sampled" and n <= AUTO_EXHAUSTIVE_LIMIT))
+    if mode == "exhaustive" and n > EXHAUSTIVE_HARD_CAP:
+        raise ExhaustiveCapError(f"exhaustive verification is capped at "
+                                 f"{EXHAUSTIVE_HARD_CAP} nodes")
+    checked = 0
+    if exhaustive:
+        nodes = sorted(net.alive_nodes())
+        labels = {v: runner.label(v) for v in nodes}
+        pi = runner.core.pi
+        ordered = not fn.symmetric
+        for i, u in enumerate(nodes):
+            start = 0 if ordered else i
+            row = fn.oracle_row(net, u)
+            for v in nodes[start:]:
+                got = decode_labels(fn, pi, labels[u], labels[v])
+                want = row[v]
+                checked += 1
+                if got != want:
+                    report.mismatches.append(Mismatch(
+                        seed, event_index, u, v, repr(got), repr(want)))
+    else:
+        pool = net.alive_list
+        for _ in range(sample_size):
+            u = pool[rng.randrange(len(pool))]
+            v = pool[rng.randrange(len(pool))]
+            got = runner.query(u, v)
+            want = fn.oracle(net, u, v)
+            checked += 1
+            if got != want:
+                report.mismatches.append(Mismatch(
+                    seed, event_index, u, v, repr(got), repr(want)))
+    report.queries_checked += checked
+
+
+class RefBackupStore(BackupStore):
+    """``BackupStore`` placing copies as it did before it kept an index
+    of each subject's holders: a refresh erases the subject's copy at its
+    parent and at every sibling, O(degree) per refresh."""
+
+    def _erase(self, holder, subject):
+        held = self.copies.get(holder)
+        if held is not None:
+            held.pop(subject, None)
+
+    def _place(self, holder, subject):
+        net = self.engine.net
+        snap = take_snapshot(self.engine.states[subject])
+        self.copies.setdefault(holder, {})[subject] = snap
+        net.ledger.count("backup", 1 if holder == net.parent[subject] else 2)
+
+    def _refresh(self, subject, order):
+        parent = self.engine.net.parent[subject]
+        holder = (parent if len(order) == 1
+                  else order[(order.index(subject) + 1) % len(order)])
+        for s in list(self.copies.get(holder, ())):
+            if s in order and s != subject:
+                self._erase(holder, s)
+        for x in (parent, *order):
+            self._erase(x, subject)
+        self._place(holder, subject)
+
+    def refresh(self, subject):
+        v = self.engine.net.parent[subject]
+        if v is not None:
+            self._refresh(subject, self.engine.net.children[v])
+
+    def on_leaf_added(self, parent, child):
+        net = self.engine.net
+        order = net.children[parent]
+        self._refresh(child, order)
+        if len(order) > 1:
+            self._place(child, order[order.index(child) - 1])
+
+    def on_child_removed(self, parent, child):
+        order = self.engine.net.children[parent]
+        rest = [w for w in order if w != child]
+        if rest:
+            self._refresh(order[order.index(child) - 1], rest)
+        for x in (parent, *order):
+            self._erase(x, child)
+        self.copies.pop(child, None)

@@ -75,6 +75,24 @@ def test_a_driver_starts_only_on_a_singleton_tree(model):
         model(build_net([0]), "distance", QuotaFunction.parse("pow:0.5"))
 
 
+@pytest.mark.parametrize("model", [IncreasingScheme, DynamicScheme])
+def test_a_rejected_driver_leaves_the_network_unhooked(model):
+    net = build_net([0])
+    with pytest.raises(SchemeError, match="singleton"):
+        model(net, "distance", QuotaFunction.parse("pow:0.5"))
+    assert net.add_leaf(0) == 2
+    assert net.ledger.messages_total == 0
+
+
+def test_a_driver_rejecting_its_tracker_leaves_the_network_unhooked():
+    net = Network()
+    with pytest.raises(ValueError, match="tracker"):
+        DynamicScheme(net, "distance", QuotaFunction.parse("pow:0.5"),
+                      tracker="estimated")
+    assert net.add_leaf(0) == 1
+    assert net.ledger.messages_total == 0
+
+
 def test_increasing_scheme_first_transition_uses_reset_count():
     net = Network()
     s = IncreasingScheme(net, "distance", QuotaFunction.parse("pow:0.5"))

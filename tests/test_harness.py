@@ -1,16 +1,20 @@
 import dataclasses
+import itertools
 import json
+import random
 
 import pytest
 
-from dynlabel import Network, RunConfig, generate_scenario, run
+from dynlabel import Network, RunConfig, generate_scenario, harness, run
 from dynlabel.bits import BitsError
 from dynlabel.cli import main as cli_main
 from dynlabel.memory import MemoryError_
 from dynlabel.scheme_core import SchemeCore, SchemeError
-from dynlabel.simnet import DeadNeighborError, format_scenario
+from dynlabel.simnet import DeadNeighborError, ScenarioEvent, format_scenario
 from dynlabel.static_schemes import DecodeError
 import dynlabel.static_schemes as static_schemes
+
+from _util import ref_verify_step
 
 
 def test_generate_pure_growth_when_no_deletions():
@@ -99,6 +103,106 @@ def test_injected_decoder_bug_is_caught(monkeypatch):
     first = r.mismatches[0]
     assert first.seed == 5
     assert first.event_index >= 1
+
+
+def _grow_and_shrink(seed):
+    """A leaf-dynamic stream that grows past the exhaustive limit of
+    ``sampled`` verification, shrinks below it and grows back."""
+    rng = random.Random(seed)
+    net = Network()
+    events = []
+    for size in (80, 40, 70, 30):
+        while net.alive_count < size:
+            p = net.alive_list[rng.randrange(net.alive_count)]
+            net.add_leaf(p)
+            events.append(ScenarioEvent("A", p))
+        while net.alive_count > size:
+            leaves = [v for v in net.alive_list if v != 0 and net.is_leaf(v)]
+            v = leaves[rng.randrange(len(leaves))]
+            net.remove_leaf(v)
+            events.append(ScenarioEvent("R", v))
+    return events
+
+
+def _memo_and_reference_reports(monkeypatch, config):
+    """The run's report, then its report with every exhaustive pair
+    decoded, and the memo run's count of exhaustive decodes."""
+    decode = harness.decode_labels
+    decodes = []
+
+    def counted(*args):
+        decodes.append(None)
+        return decode(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(harness, "decode_labels", counted)
+        got = run(config)
+    with monkeypatch.context() as m:
+        m.setattr(harness, "verify_step", ref_verify_step)
+        want = run(config)
+    return got.to_dict(), want.to_dict(), len(decodes)
+
+
+@pytest.mark.parametrize("function", ["ancestry", "distance", "seplevel",
+                                      "routing"])
+def test_the_decode_memo_reports_what_decoding_every_pair_reports(
+        monkeypatch, tmp_path, function):
+    grid = itertools.product(("increasing", "dynamic"),
+                             ("designer", "adversary"),
+                             ("exhaustive", "sampled:64"))
+    for seed, (model, port_model, verify) in enumerate(grid):
+        config = RunConfig(seed=seed, events=50, model=model,
+                           p_delete=0.3 if model == "dynamic" else 0.0,
+                           port_model=port_model, function=function,
+                           verify=verify, invariants="off")
+        got, want, decodes = _memo_and_reference_reports(monkeypatch, config)
+        assert got == want, config
+        assert got["passed"] and decodes < got["queries_checked"], config
+    stream = tmp_path / "grow-shrink.txt"
+    stream.write_text(format_scenario(_grow_and_shrink(len(function))))
+    for port_model in ("designer", "adversary"):
+        config = RunConfig(model="dynamic", port_model=port_model,
+                           function=function, verify="sampled:64",
+                           invariants="off", scenario_path=str(stream))
+        got, want, _ = _memo_and_reference_reports(monkeypatch, config)
+        assert got == want, port_model
+
+
+def test_the_decode_memo_still_catches_a_replaced_label(monkeypatch):
+    """A stored label replaced between two events, on a node whose label
+    the scheme left alone, is decoded again: the mismatches are those of
+    a check that decodes every pair."""
+    config = RunConfig(seed=6, events=30, model="dynamic", p_delete=0.3,
+                       function="distance", verify="exhaustive",
+                       invariants="off", bounds=False)
+    replaced = []
+
+    def corrupting(step):
+        last = {}
+
+        def wrapped(runner, fn, mode, sample_size, rng, event_index, *rest):
+            labels = runner.core.labels
+            if event_index == 20:
+                v = max(u for u in labels
+                        if u != runner.net.root and labels[u] is last.get(u))
+                labels[v] = labels[runner.net.root]
+                replaced.append(v)
+            last.clear()
+            last.update(labels)
+            step(runner, fn, mode, sample_size, rng, event_index, *rest)
+        return wrapped
+
+    reports = []
+    for step in (harness.verify_step, ref_verify_step):
+        with monkeypatch.context() as m:
+            m.setattr(harness, "verify_step", corrupting(step))
+            reports.append(run(config))
+    memo, ref = reports
+    assert replaced[0] == replaced[1]
+    assert memo.mismatches == ref.mismatches
+    assert any(m.event_index == 20 and replaced[0] in (m.u, m.v)
+               for m in memo.mismatches)
+    assert memo.queries_checked == ref.queries_checked
 
 
 def test_cli_exit_codes(tmp_path, monkeypatch, capsys):

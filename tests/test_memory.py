@@ -1,12 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dynlabel import (DynamicScheme, FiniteScheme, IncreasingScheme, Network,
                       PortAssignment, QuotaFunction, budgets)
-from dynlabel.memory import MemoryError_, next_sibling, prev_sibling
+from dynlabel.memory import MemoryError_, next_sibling
 
-from _util import grow_random, ports_at
+from _util import RefBackupStore, grow_random, ports_at
 
 
 def test_fresh_leaf_has_zero_watermarks_and_parent_at_port_one():
@@ -203,7 +204,7 @@ def test_backup_middle_of_three_children_moves_to_next():
     victims = [u for u in order if net.is_leaf(u)]
     u = victims[len(victims) // 2]
     nxt = next_sibling(net, 0, u)
-    pre = prev_sibling(net, 0, u)
+    pre = order[order.index(u) - 1]
     if nxt in (u, pre):
         pytest.skip("need three distinct siblings")
     s.remove_leaf(u)
@@ -224,6 +225,55 @@ def test_no_node_ever_holds_more_than_two_copies():
             s.add_leaf(pool[rng.randrange(len(pool))])
         store = s.core.backups
         assert all(len(held) <= 2 for held in store.copies.values())
+    assert s.core.backups.check() == []
+
+
+# (kind, index into the picked pool, whether an add goes to the root):
+# half the adds grow a star at the root, so many refreshes run among many
+# siblings
+BACKUP_STREAMS = st.lists(st.tuples(st.sampled_from("AAARR"),
+                                    st.integers(0, 1 << 16),
+                                    st.booleans()),
+                          min_size=10, max_size=150)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(assignment=st.sampled_from([PortAssignment.COMPACT,
+                                   PortAssignment.ADVERSARY]),
+       seed=st.integers(0, 1000), events=BACKUP_STREAMS)
+def test_backup_copies_match_the_erase_everywhere_reference(assignment, seed,
+                                                            events):
+    """Erasing a subject's copies only at its indexed holders leaves
+    every holder's copies what erasing at the parent and every sibling
+    left, after every event."""
+    runs = []
+    for store in (None, RefBackupStore):
+        net = Network(assignment=assignment, rng=random.Random(seed))
+        s = DynamicScheme(net, "distance", QuotaFunction.parse("pow:0.5"))
+        if store is not None:
+            s.core.backups = store(s.core)
+        runs.append((net, s))
+    (net, s), (ref_net, ref) = runs
+    for kind, i, at_root in events:
+        leaves = [v for v in net.alive_list if v != 0 and net.is_leaf(v)]
+        if kind == "R" and leaves:
+            v = leaves[i % len(leaves)]
+            s.remove_leaf(v)
+            ref.remove_leaf(v)
+        else:
+            v = 0 if at_root else net.alive_list[i % net.alive_count]
+            s.add_leaf(v)
+            ref.add_leaf(v)
+        copies = s.core.backups.copies
+        assert copies == ref.core.backups.copies
+        assert net.ledger.by_category == ref_net.ledger.by_category
+        held_by = {}
+        for h, held in copies.items():
+            for u in held:
+                held_by.setdefault(u, set()).add(h)
+        holders = s.core.backups.holders
+        assert {u: hs for u, hs in holders.items() if hs} == held_by
+        assert all(len(hs) <= 2 for hs in holders.values())
     assert s.core.backups.check() == []
 
 
