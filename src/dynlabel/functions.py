@@ -5,11 +5,15 @@ Each supported function F on node pairs provides:
 * ``value(net, u, v, a, via)`` -- the one rule for F(u, v), given
   a = nca(u, v) and ``via``: the child of u toward v when u is a strict
   ancestor of v, the child of v toward u when v is a strict ancestor of
-  u, and None otherwise.  Both oracles derive from it:
+  u, and None otherwise.  (a, via) is the same for (u, v) and (v, u).
+  The oracles, the ground truth of the test harness, derive from it:
   ``oracle(net, u, v)`` finds (a, via) with one upward walk
-  (``nca_via``), and ``oracle_row(net, u)`` gives ``{v: F(u, v)}`` for
-  every node v of u's tree from one outward walk; they are the ground
-  truth of the test harness,
+  (``nca_via``), and ``outward(net, w)`` yields (v, a, via) for every
+  node v of w's tree from one walk, so ``value`` gives both F(w, v) and
+  F(v, w) from it,
+* ``facts``              -- the per-node network maps ``value`` reads,
+  directly or through (a, via): a pair's value changes only if a fact
+  of a node on its path does,
 * ``compose(a, b)``      -- combine F(u,w) and F(w,v) into F(u,v) for
   any w on the u-v path,
 * ``reverse(a)``         -- F(v,u) from F(u,v),
@@ -60,7 +64,7 @@ def nca_via(net, u, v):
     return x, None
 
 
-def _outward(net, u):
+def outward(net, u):
     """(v, nca(u, v), via) for every node v of u's tree, ``via`` as
     ``value`` takes it, from one walk out of u that reads only
     ``parent`` and ``children``."""
@@ -92,6 +96,7 @@ class TreeFunction:
     name = ""
     symmetric = True
     layout = None           # wire layout of a value (see ``bits``)
+    facts = ("parent", "depth")
 
     def value(self, net, u, v, a, via):
         """F(u, v) given a = nca(u, v) and ``via`` (see the module
@@ -101,10 +106,6 @@ class TreeFunction:
     def oracle(self, net, u, v):
         a, via = nca_via(net, u, v)
         return self.value(net, u, v, a, via)
-
-    def oracle_row(self, net, u) -> dict:
-        value = self.value
-        return {v: value(net, u, v, a, via) for v, a, via in _outward(net, u)}
 
     def compose(self, a, b):
         raise NotImplementedError
@@ -182,6 +183,7 @@ class Routing(TreeFunction):
     name = "routing"
     symmetric = False
     layout = (bits.tag(ROUTE_SELF[0], "port"), bits.UINT, bits.UINT)
+    facts = ("parent", "depth", "up_port", "down_port")
 
     def value(self, net, u, v, a, via):
         if u == v:

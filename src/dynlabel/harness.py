@@ -15,12 +15,12 @@ import json
 import random
 from dataclasses import dataclass, field
 
-from . import budgets
+from . import budgets, scheme_core
 from .bits import BitsError
 from .dynamic import TRACKERS, DynamicScheme, IncreasingScheme, QuotaFunction
-from .functions import get_function
+from .functions import get_function, outward
 from .memory import MemoryError_
-from .scheme_core import SchemeError, decode_labels
+from .scheme_core import SchemeError
 from .simnet import (DEFAULT_PORT_CAP, Network, PortAssignment, ScenarioEvent,
                      SimulationError, parse_scenario)
 from .static_schemes import DecodeError, scheme_for
@@ -210,34 +210,42 @@ def build_runner(config: RunConfig, net: Network):
 
 
 class DecodeMemo:
-    """One run's decoded values from its last exhaustive check: the
-    label each node had then, and per node u its row ``{v: got}``."""
+    """One run's last exhaustive check: the label and the tree facts
+    (``fn.facts``) each node had then, and the pairs that mismatched,
+    as ``(u, v, got, want)`` in (u, v) order."""
 
-    __slots__ = ("labels", "rows")
+    __slots__ = ("labels", "facts", "mismatches")
 
     def __init__(self):
         self.clear()
 
     def clear(self) -> None:
         self.labels = {}
-        self.rows = {}
+        self.facts = {}
+        self.mismatches = []
 
 
 def verify_step(runner, fn, mode, sample_size, rng, event_index, seed,
                 report: VerificationReport, memo: DecodeMemo) -> None:
     """Check decoded values against the oracle for one event's tree.
 
-    The exhaustive branch compares every pair's decoded value with the
-    oracle's, but decodes a pair again only when one of its two labels
-    changed: a pair (u, v) whose labels are both the same objects
-    (``is``) as at the last check takes its value from ``memo``.  The
-    decoder reads nothing but the two labels, and the scheme stores a
-    new label object whenever a label is rebuilt, so the reused value is
-    the one a fresh decode would return; a stored label replaced from
-    outside is a new object too, and is decoded again.  Each check
-    rewrites the memo with its own labels and values.  A step that
-    samples clears the memo, so a tree grown past the exhaustive limit
-    holds no stale rows.
+    The exhaustive branch counts every pair as checked, but decodes and
+    compares with a fresh oracle value only the pairs with a changed
+    node: one whose label is not the same object (``is``) as at the last
+    check, or that is new.  Every other pair carries its outcome from
+    ``memo``: its mismatch, if it had one, is reported again under this
+    event.  The carried outcome is the fresh one.  The decoder reads
+    nothing but the two labels, and the scheme stores a new label object
+    whenever it rebuilds a label (a label replaced from outside is a new
+    object too), so the decoded value is the same.  The oracle value
+    reads only the ``fn.facts`` of the nodes on the pair's path, which
+    all survive; leaf additions and removals rewrite no fact of a
+    surviving node, and if one was rewritten anyway the memo is cleared
+    and every pair is checked fresh.  Each changed node w takes one
+    ``outward`` walk, whose (a, via) gives both F(w, v) and F(v, w).
+
+    A step that samples clears the memo, so a tree grown past the
+    exhaustive limit carries nothing stale.
     """
     net = runner.net
     n = net.alive_count
@@ -246,35 +254,54 @@ def verify_step(runner, fn, mode, sample_size, rng, event_index, seed,
     if mode == "exhaustive" and n > EXHAUSTIVE_HARD_CAP:
         raise ExhaustiveCapError(f"exhaustive verification is capped at "
                                  f"{EXHAUSTIVE_HARD_CAP} nodes")
-    checked = 0
     if exhaustive:
-        nodes = sorted(net.alive_nodes())
+        decode = scheme_core.decode_labels
+        nodes = sorted(net.alive_list)
         labels = {v: runner.label(v) for v in nodes}
+        columns = [map(getattr(net, name).get, nodes) for name in fn.facts]
+        facts = dict(zip(nodes, zip(*columns)))
+        last_facts = memo.facts
+        if any(last_facts.get(v, f) != f for v, f in facts.items()):
+            memo.clear()
         last = memo.labels
         kept = {v for v in nodes if last.get(v) is labels[v]}
-        last_rows = memo.rows
-        rows = {}
+        found = [m for m in memo.mismatches if m[0] in kept and m[1] in kept]
         pi = runner.core.pi
+        value = fn.value
         ordered = not fn.symmetric
-        for i, u in enumerate(nodes):
-            tail = nodes if ordered else nodes[i:]
-            want_row = fn.oracle_row(net, u)
-            lu = labels[u]
-            old = last_rows[u] if u in kept else None
-            got_row = rows[u] = {}
-            for v in tail:
-                if old is not None and v in kept:
-                    got = old[v]
+        failed = None       # (pair, error) of the first failing decode
+        for w in nodes:
+            if w in kept:
+                continue
+            for v, a, via in outward(net, w):
+                if v < w and v not in kept:
+                    continue        # checked from v's walk
+                if ordered and v != w:
+                    pairs = (w, v), (v, w)
                 else:
-                    got = decode_labels(fn, pi, lu, labels[v])
-                got_row[v] = got
-                want = want_row[v]
-                if got != want:
-                    report.mismatches.append(Mismatch(
-                        seed, event_index, u, v, repr(got), repr(want)))
-            checked += len(tail)
-        memo.labels = labels
-        memo.rows = rows
+                    pairs = ((w, v) if w <= v else (v, w),)
+                for x, y in pairs:
+                    try:
+                        got = decode(fn, pi, labels[x], labels[y])
+                    except RUN_ERRORS as exc:
+                        if failed is None or (x, y) < failed[0]:
+                            failed = (x, y), exc
+                        continue
+                    want = value(net, x, y, a, via)
+                    if got != want:
+                        found.append((x, y, repr(got), repr(want)))
+        found.sort()
+        if failed is not None:
+            # end as a check in pair order would: a carried pair decoded
+            # before, so the first failing pair is a fresh one
+            pair, exc = failed
+            report.mismatches.extend(Mismatch(seed, event_index, *m)
+                                     for m in found if m[:2] < pair)
+            raise exc
+        memo.labels, memo.facts, memo.mismatches = labels, facts, found
+        report.mismatches.extend(Mismatch(seed, event_index, *m)
+                                 for m in found)
+        report.queries_checked += n * n if ordered else n * (n + 1) // 2
     else:
         memo.clear()
         pool = net.alive_list
@@ -283,11 +310,10 @@ def verify_step(runner, fn, mode, sample_size, rng, event_index, seed,
             v = pool[rng.randrange(len(pool))]
             got = runner.query(u, v)
             want = fn.oracle(net, u, v)
-            checked += 1
             if got != want:
                 report.mismatches.append(Mismatch(
                     seed, event_index, u, v, repr(got), repr(want)))
-    report.queries_checked += checked
+        report.queries_checked += sample_size
 
 
 class _BoundTracker:

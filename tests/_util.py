@@ -2,11 +2,11 @@
 
 import random
 
-from dynlabel import Network, PortAssignment
+from dynlabel import Network, PortAssignment, scheme_core
+from dynlabel.functions import outward
 from dynlabel.harness import (AUTO_EXHAUSTIVE_LIMIT, EXHAUSTIVE_HARD_CAP,
                               ExhaustiveCapError, Mismatch)
 from dynlabel.memory import BackupStore, take_snapshot
-from dynlabel.scheme_core import decode_labels
 
 
 def rooted_trees(n):
@@ -285,9 +285,12 @@ def ref_backup_faults(store):
 
 def ref_verify_step(runner, fn, mode, sample_size, rng, event_index, seed,
                     report, memo=None):
-    """``harness.verify_step`` with no decode memo: every pair of an
-    exhaustive check is decoded.  Takes (and ignores) the memo, so it can
-    stand in for the real step inside ``harness.run``."""
+    """``harness.verify_step`` with no memo: every pair of an exhaustive
+    check is decoded and compared with the value from u's ``outward``
+    walk.  Takes (and ignores) the memo, so it can stand in for the real
+    step inside ``harness.run``; it decodes through
+    ``scheme_core.decode_labels`` as the step does, so a patched decode
+    reaches both."""
     net = runner.net
     n = net.alive_count
     exhaustive = (mode == "exhaustive"
@@ -297,15 +300,17 @@ def ref_verify_step(runner, fn, mode, sample_size, rng, event_index, seed,
                                  f"{EXHAUSTIVE_HARD_CAP} nodes")
     checked = 0
     if exhaustive:
+        decode = scheme_core.decode_labels
         nodes = sorted(net.alive_nodes())
         labels = {v: runner.label(v) for v in nodes}
         pi = runner.core.pi
         ordered = not fn.symmetric
         for i, u in enumerate(nodes):
             start = 0 if ordered else i
-            row = fn.oracle_row(net, u)
+            row = {v: fn.value(net, u, v, a, via)
+                   for v, a, via in outward(net, u)}
             for v in nodes[start:]:
-                got = decode_labels(fn, pi, labels[u], labels[v])
+                got = decode(fn, pi, labels[u], labels[v])
                 want = row[v]
                 checked += 1
                 if got != want:

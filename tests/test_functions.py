@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dynlabel import Network, PortAssignment, bits, get_function
-from dynlabel.functions import ROUTE_SELF, nca_via
+from dynlabel.functions import ROUTE_SELF, nca_via, outward
 
 from _util import build_net, random_parents, rooted_trees
 
@@ -176,9 +176,10 @@ def test_unknown_function_rejected():
 
 
 @pytest.mark.parametrize("name", ALL_FUNCTIONS)
-def test_oracle_row_matches_pairwise_oracle(name):
-    """One outward walk per row gives the pairwise oracle's values, on
-    random trees with deletions under every port assignment that the
+def test_outward_walk_matches_pairwise_oracle_both_ways(name):
+    """One outward walk from u reaches every node v once, and its
+    (a, via) gives both F(u, v) and F(v, u) as the pairwise oracle does,
+    on random trees with deletions under every port assignment that the
     function takes: routing values name stored ports, so not compact."""
     fn = get_function(name)
     for assignment in PortAssignment:
@@ -188,11 +189,13 @@ def test_oracle_row_matches_pairwise_oracle(name):
             net = _grown_net(assignment, seed)
             nodes = net.alive_nodes()
             for u in nodes:
-                row = fn.oracle_row(net, u)
-                assert sorted(row) == sorted(nodes)
-                for v in nodes:
-                    assert row[v] == fn.oracle(net, u, v), (assignment, seed,
-                                                            u, v)
+                walk = list(outward(net, u))
+                assert sorted(v for v, _, _ in walk) == sorted(nodes)
+                for v, a, via in walk:
+                    assert fn.value(net, u, v, a, via) == fn.oracle(
+                        net, u, v), (assignment, seed, u, v)
+                    assert fn.value(net, v, u, a, via) == fn.oracle(
+                        net, v, u), (assignment, seed, v, u)
 
 
 def _grown_net(assignment, seed, events=40):

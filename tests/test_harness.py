@@ -5,9 +5,12 @@ import random
 
 import pytest
 
-from dynlabel import Network, RunConfig, generate_scenario, harness, run
+from dynlabel import (Network, PortAssignment, RunConfig, generate_scenario,
+                      harness, run, scheme_core)
 from dynlabel.bits import BitsError
 from dynlabel.cli import main as cli_main
+from dynlabel.dynamic import DynamicScheme, IncreasingScheme, QuotaFunction
+from dynlabel.functions import get_function
 from dynlabel.memory import MemoryError_
 from dynlabel.scheme_core import SchemeCore, SchemeError
 from dynlabel.simnet import DeadNeighborError, ScenarioEvent, format_scenario
@@ -126,46 +129,174 @@ def _grow_and_shrink(seed):
 
 def _memo_and_reference_reports(monkeypatch, config):
     """The run's report, then its report with every exhaustive pair
-    decoded, and the memo run's count of exhaustive decodes."""
-    decode = harness.decode_labels
-    decodes = []
+    decoded, and the first run's counts of decodes and ``value`` calls."""
+    decode = scheme_core.decode_labels
+    cls = type(get_function(config.function))
+    calls = {"decode": 0, "value": 0}
 
-    def counted(*args):
-        decodes.append(None)
-        return decode(*args)
+    def counted(key, real):
+        def wrapper(*args):
+            calls[key] += 1
+            return real(*args)
+        return wrapper
 
     with monkeypatch.context() as m:
-        m.setattr(harness, "decode_labels", counted)
+        m.setattr(scheme_core, "decode_labels", counted("decode", decode))
+        m.setattr(cls, "value", counted("value", cls.value))
         got = run(config)
     with monkeypatch.context() as m:
         m.setattr(harness, "verify_step", ref_verify_step)
         want = run(config)
-    return got.to_dict(), want.to_dict(), len(decodes)
+    return got.to_dict(), want.to_dict(), calls["decode"], calls["value"]
+
+
+def _memo_grid(function, tmp_path):
+    """Both models and port models under ``exhaustive`` and
+    ``sampled:64`` (fixed seeds, 50 events, so every check of the
+    sampled runs is exhaustive too), then a grow-and-shrink stream under
+    ``sampled:64``, which clears the memo and rebuilds it twice."""
+    grid = itertools.product(("increasing", "dynamic"),
+                             ("designer", "adversary"),
+                             ("exhaustive", "sampled:64"))
+    for seed, (model, port_model, verify) in enumerate(grid):
+        yield RunConfig(seed=seed, events=50, model=model,
+                        p_delete=0.3 if model == "dynamic" else 0.0,
+                        port_model=port_model, function=function,
+                        verify=verify, invariants="off")
+    stream = tmp_path / "grow-shrink.txt"
+    stream.write_text(format_scenario(_grow_and_shrink(len(function))))
+    for port_model in ("designer", "adversary"):
+        yield RunConfig(model="dynamic", port_model=port_model,
+                        function=function, verify="sampled:64",
+                        invariants="off", scenario_path=str(stream))
 
 
 @pytest.mark.parametrize("function", ["ancestry", "distance", "seplevel",
                                       "routing"])
 def test_the_decode_memo_reports_what_decoding_every_pair_reports(
         monkeypatch, tmp_path, function):
-    grid = itertools.product(("increasing", "dynamic"),
-                             ("designer", "adversary"),
-                             ("exhaustive", "sampled:64"))
-    for seed, (model, port_model, verify) in enumerate(grid):
-        config = RunConfig(seed=seed, events=50, model=model,
-                           p_delete=0.3 if model == "dynamic" else 0.0,
-                           port_model=port_model, function=function,
-                           verify=verify, invariants="off")
-        got, want, decodes = _memo_and_reference_reports(monkeypatch, config)
+    """Reports equal the reference's.  In the 50-event grid every check
+    is exhaustive, and its carried pairs are neither decoded nor given an
+    oracle value: each run decodes fewer pairs than it checks, and the
+    grid's ``value`` calls are under half of its checked pairs (a quarter
+    when measured; the small dynamic runs restart often, and one of them
+    reaches half alone)."""
+    values = checked = 0
+    for config in _memo_grid(function, tmp_path):
+        got, want, decodes, calls = _memo_and_reference_reports(
+            monkeypatch, config)
         assert got == want, config
-        assert got["passed"] and decodes < got["queries_checked"], config
-    stream = tmp_path / "grow-shrink.txt"
-    stream.write_text(format_scenario(_grow_and_shrink(len(function))))
-    for port_model in ("designer", "adversary"):
-        config = RunConfig(model="dynamic", port_model=port_model,
-                           function=function, verify="sampled:64",
-                           invariants="off", scenario_path=str(stream))
-        got, want, _ = _memo_and_reference_reports(monkeypatch, config)
-        assert got == want, port_model
+        assert got["passed"], config
+        if config.scenario_path is None:
+            assert decodes < got["queries_checked"], config
+            values += calls
+            checked += got["queries_checked"]
+    assert values < checked / 2
+
+
+def _wrong_on_some_pairs(decode, wrong):
+    """``decode_labels`` answering wrongly on some label pairs, chosen by
+    the labels' content alone (the bit counts bx, by of their outer
+    static labels, when bx + 3 by is a multiple of 8), as a decoder
+    reads nothing else; ``wrong`` collects each wrong answer."""
+    def broken(fn, pi, lx, ly):
+        got = decode(fn, pi, lx, ly)
+        if (lx[1][-1] + 3 * ly[1][-1]) % 8 == 0:
+            wrong.append(got)
+            return ("wrong", got)
+        return got
+    return broken
+
+
+@pytest.mark.parametrize("function", ["ancestry", "distance", "seplevel",
+                                      "routing"])
+def test_carried_mismatches_are_those_of_a_fresh_check(
+        monkeypatch, tmp_path, function):
+    """With a decoder wrong on some pairs, the mismatch list equals the
+    reference's entry by entry: a pair whose labels did not change is
+    reported again at each event, in (u, v) order among the fresh ones,
+    without being decoded again."""
+    decode = scheme_core.decode_labels
+    carried = 0
+    for config in _memo_grid(function, tmp_path):
+        runs = []
+        for step in (harness.verify_step, ref_verify_step):
+            wrong = []
+            with monkeypatch.context() as m:
+                m.setattr(scheme_core, "decode_labels",
+                          _wrong_on_some_pairs(decode, wrong))
+                m.setattr(harness, "verify_step", step)
+                runs.append((run(config), len(wrong)))
+        (got, wrong_given), (want, _) = runs
+        assert got.mismatches, config
+        for a, b in itertools.zip_longest(got.mismatches, want.mismatches):
+            assert a == b, config
+        assert got.queries_checked == want.queries_checked, config
+        assert got.errors == want.errors == [], config
+        carried += len(got.mismatches) - wrong_given
+    assert carried > 0
+
+
+def test_a_failing_decode_ends_the_check_as_pair_order_would(monkeypatch):
+    """A decode that raises on some label pairs (and answers wrongly on
+    others) ends the run with the error of the first failing pair in
+    (u, v) order, after the mismatches of the pairs before it, as a
+    check that decodes every pair in order does."""
+    decode = scheme_core.decode_labels
+
+    def broken(fn, pi, lx, ly):
+        key = lx[1][-1] + 3 * ly[1][-1]
+        if key % 64 == 6:
+            raise DecodeError(f"bad pair of {lx[1][-1]} and {ly[1][-1]} bits")
+        got = decode(fn, pi, lx, ly)
+        return ("wrong", got) if key % 8 == 0 else got
+
+    failed = 0
+    for seed, function in itertools.product(range(4), ("distance",
+                                                       "routing")):
+        config = RunConfig(seed=seed, events=60, model="dynamic",
+                           p_delete=0.3, function=function,
+                           verify="exhaustive", invariants="off")
+        reports = []
+        for step in (harness.verify_step, ref_verify_step):
+            with monkeypatch.context() as m:
+                m.setattr(scheme_core, "decode_labels", broken)
+                m.setattr(harness, "verify_step", step)
+                reports.append(run(config).to_dict())
+        assert reports[0] == reports[1], config
+        failed += bool(reports[0]["errors"])
+    assert failed >= 6
+
+
+def _reports_rewriting_at_event_20(monkeypatch, config, eligible, rewrite,
+                                   touched):
+    """The run's report under ``harness.verify_step``, then under
+    ``ref_verify_step``; before the check of event 20, ``rewrite`` acts
+    on the largest non-root node that is ``eligible`` and whose label
+    object the scheme left unchanged since event 19, and ``touched``
+    gets that node once per run."""
+    def rewriting(step):
+        last = {}
+
+        def wrapped(runner, fn, mode, sample_size, rng, event_index, *rest):
+            labels = runner.core.labels
+            if event_index == 20:
+                v = max(u for u in labels
+                        if u != runner.net.root and labels[u] is last.get(u)
+                        and eligible(runner, u))
+                rewrite(runner, v)
+                touched.append(v)
+            last.clear()
+            last.update(labels)
+            step(runner, fn, mode, sample_size, rng, event_index, *rest)
+        return wrapped
+
+    reports = []
+    for step in (harness.verify_step, ref_verify_step):
+        with monkeypatch.context() as m:
+            m.setattr(harness, "verify_step", rewriting(step))
+            reports.append(run(config))
+    return reports
 
 
 def test_the_decode_memo_still_catches_a_replaced_label(monkeypatch):
@@ -177,32 +308,89 @@ def test_the_decode_memo_still_catches_a_replaced_label(monkeypatch):
                        invariants="off", bounds=False)
     replaced = []
 
-    def corrupting(step):
-        last = {}
+    def replace_label(runner, v):
+        labels = runner.core.labels
+        labels[v] = labels[runner.net.root]
 
-        def wrapped(runner, fn, mode, sample_size, rng, event_index, *rest):
-            labels = runner.core.labels
-            if event_index == 20:
-                v = max(u for u in labels
-                        if u != runner.net.root and labels[u] is last.get(u))
-                labels[v] = labels[runner.net.root]
-                replaced.append(v)
-            last.clear()
-            last.update(labels)
-            step(runner, fn, mode, sample_size, rng, event_index, *rest)
-        return wrapped
-
-    reports = []
-    for step in (harness.verify_step, ref_verify_step):
-        with monkeypatch.context() as m:
-            m.setattr(harness, "verify_step", corrupting(step))
-            reports.append(run(config))
-    memo, ref = reports
+    memo, ref = _reports_rewriting_at_event_20(
+        monkeypatch, config, lambda runner, v: True, replace_label, replaced)
     assert replaced[0] == replaced[1]
     assert memo.mismatches == ref.mismatches
     assert any(m.event_index == 20 and replaced[0] in (m.u, m.v)
                for m in memo.mismatches)
     assert memo.queries_checked == ref.queries_checked
+
+
+@pytest.mark.parametrize("function, port_model, fact", [
+    ("distance", "designer", "depth"),
+    ("seplevel", "designer", "depth"),
+    ("routing", "designer", "up_port"),
+    ("routing", "adversary", "up_port"),
+])
+def test_a_rewritten_fact_clears_the_decode_memo(monkeypatch, function,
+                                                 port_model, fact):
+    """A surviving node's fact rewritten from outside, on a node whose
+    label the scheme left alone (an internal one, so a depth reaches
+    separation levels too), changes the oracle values of pairs whose
+    labels did not change: the memo's facts guard checks every pair
+    fresh, and the mismatches are those of a check that decodes every
+    pair."""
+    config = RunConfig(seed=6, events=30, model="dynamic", p_delete=0.3,
+                       port_model=port_model, function=function,
+                       verify="exhaustive", invariants="off", bounds=False)
+    touched = []
+
+    def internal(runner, v):
+        return not runner.net.is_leaf(v)
+
+    def bump(runner, v):
+        getattr(runner.net, fact)[v] += 1
+
+    memo, ref = _reports_rewriting_at_event_20(monkeypatch, config, internal,
+                                               bump, touched)
+    assert touched[0] == touched[1]
+    assert memo.mismatches == ref.mismatches
+    assert any(m.event_index == 20 and touched[0] in (m.u, m.v)
+               for m in memo.mismatches)
+    assert memo.queries_checked == ref.queries_checked
+
+
+@pytest.mark.parametrize("function", ["ancestry", "distance", "seplevel",
+                                      "routing"])
+def test_leaf_events_rewrite_no_declared_fact_of_a_surviving_node(function):
+    """The premise of carried outcomes: through random leaf-dynamic and
+    leaf-increasing streams, with their restarts and phase shifts, under
+    every port assignment the function takes, no event rewrites a
+    ``fn.facts`` entry of a node that survives it.  Compact up ports do
+    move (a new child goes first, and a top-level reset renumbers), but
+    no function declares them."""
+    fn = get_function(function)
+    moved_ports = restarts = phases = 0
+    for assignment in PortAssignment:
+        if function == "routing" and assignment is PortAssignment.COMPACT:
+            continue
+        for seed in range(3):
+            for driver, p_delete in ((DynamicScheme, 0.3),
+                                     (IncreasingScheme, 0.0)):
+                net = Network(assignment=assignment,
+                              rng=random.Random(seed))
+                runner = driver(net, function, QuotaFunction.parse("pow:0.5"))
+                maps = [getattr(net, name) for name in fn.facts]
+                before = {}
+                ports = {}
+                for ev in generate_scenario(seed, 300, p_delete):
+                    runner.apply(ev)
+                    now = {v: tuple(m.get(v) for m in maps)
+                           for v in net.alive_list}
+                    assert all(before.get(v, f) == f
+                               for v, f in now.items()), (assignment, seed)
+                    moved_ports += any(ports.get(v, p) != p
+                                       for v, p in net.up_port.items())
+                    before, ports = now, dict(net.up_port)
+                restarts += len(runner.restart_log)
+                phases += len(runner.phase_log)
+    assert restarts and phases
+    assert moved_ports or function == "routing"
 
 
 def test_cli_exit_codes(tmp_path, monkeypatch, capsys):

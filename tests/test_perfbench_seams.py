@@ -88,3 +88,21 @@ def test_every_benchmark_seam_is_called():
     idle = [(getattr(owner, "__name__", owner), attr)
             for owner, attr in seams if not calls[(owner, attr)]]
     assert idle == []
+
+
+def test_the_decode_seam_sees_every_exhaustive_decode():
+    """``harness.verify_step`` reads ``scheme_core.decode_labels`` off
+    the module at each call, so the traced seam counts the exhaustive
+    branch's decodes too: one per static decoder call."""
+    spans = _spans()
+    tracer = spans.Tracer()
+    undo = spans.instrument(tracer)
+    try:
+        r = run(RunConfig(seed=2, events=40, function="distance",
+                          verify="exhaustive", invariants="off"))
+    finally:
+        spans.restore(undo)
+    assert r.passed()
+    decodes = tracer.calls["scheme_core.decode_labels"]
+    assert decodes > 0
+    assert decodes == tracer.calls["static_schemes.decoder"]
