@@ -98,8 +98,6 @@ def compute_phase_params(n: int, qf: QuotaFunction) -> PhaseParams:
 class ExactChangeTracker:
     """Counts every addition and deletion at the root, exactly."""
 
-    name = "exact"
-
     def __init__(self):
         self.baseline = 0
         self.adds = 0

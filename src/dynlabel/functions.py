@@ -17,11 +17,12 @@ Each supported function F on node pairs provides:
 * ``compose(a, b)``      -- combine F(u,w) and F(w,v) into F(u,v) for
   any w on the u-v path,
 * ``reverse(a)``         -- F(v,u) from F(u,v),
-* ``self_value(net, w)`` / ``edge_value(net, parent, child)`` -- the
-  values a node can produce locally, used for incremental label
-  maintenance,
 * ``layout``              -- the wire layout of a value, from which
   ``bits.encode``, ``bits.read`` and ``bits.size`` derive its coding.
+
+The algebra is ``value``, ``compose`` and ``reverse``: ``self_value``
+and ``edge_value``, the values a node produces locally for incremental
+label maintenance, are ``value`` at (w, w) and across a tree edge.
 
 Values are plain tuples/ints so the query hot path stays cheap:
 
@@ -100,7 +101,7 @@ class TreeFunction:
 
     def value(self, net, u, v, a, via):
         """F(u, v) given a = nca(u, v) and ``via`` (see the module
-        docstring); the one rule both oracles read."""
+        docstring); the one rule every other value derives from."""
         raise NotImplementedError
 
     def oracle(self, net, u, v):
@@ -114,11 +115,12 @@ class TreeFunction:
         return a
 
     def self_value(self, net, w):
-        raise NotImplementedError
+        """F(w, w)."""
+        return self.value(net, w, w, w, None)
 
     def edge_value(self, net, parent, child):
         """F(parent, child) for a tree edge, known locally at creation."""
-        raise NotImplementedError
+        return self.value(net, parent, child, parent, child)
 
 
 class Ancestry(TreeFunction):
@@ -134,12 +136,6 @@ class Ancestry(TreeFunction):
     def reverse(self, a):
         return (a[1], a[0])
 
-    def self_value(self, net, w):
-        return (True, True)
-
-    def edge_value(self, net, parent, child):
-        return (True, False)
-
 
 class Distance(TreeFunction):
     name = "distance"
@@ -152,12 +148,6 @@ class Distance(TreeFunction):
     def compose(self, a, b):
         return a + b
 
-    def self_value(self, net, w):
-        return 0
-
-    def edge_value(self, net, parent, child):
-        return 1
-
 
 class SeparationLevel(TreeFunction):
     name = "seplevel"
@@ -168,12 +158,6 @@ class SeparationLevel(TreeFunction):
 
     def compose(self, a, b):
         return min(a, b)
-
-    def self_value(self, net, w):
-        return net.depth[w]
-
-    def edge_value(self, net, parent, child):
-        return net.depth[parent]
 
 
 class Routing(TreeFunction):
@@ -203,12 +187,6 @@ class Routing(TreeFunction):
         if a == ROUTE_SELF:
             return a
         return ("port", a[2], a[1])
-
-    def self_value(self, net, w):
-        return ROUTE_SELF
-
-    def edge_value(self, net, parent, child):
-        return ("port", net.down_port[child], net.up_port[child])
 
 
 FUNCTIONS = {

@@ -23,7 +23,7 @@ from .memory import MemoryError_
 from .scheme_core import SchemeError
 from .simnet import (DEFAULT_PORT_CAP, Network, PortAssignment, ScenarioEvent,
                      SimulationError, parse_scenario)
-from .static_schemes import DecodeError, scheme_for
+from .static_schemes import DecodeError
 
 EXHAUSTIVE_HARD_CAP = 128
 AUTO_EXHAUSTIVE_LIMIT = 64
@@ -124,7 +124,10 @@ class VerificationReport:
                     or self.bound_violations or self.errors)
 
     def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
+        """The report as plain data, copied one level deep."""
+        out = {k: v.copy() if isinstance(v, (list, dict)) else v
+               for k, v in vars(self).items()}
+        out["mismatches"] = [vars(m).copy() for m in self.mismatches]
         out["passed"] = self.passed()
         return out
 
@@ -323,7 +326,7 @@ class _BoundTracker:
         self.config = config
         self.net = net
         self.runner = runner
-        self.pi = scheme_for(config.function)
+        self.pi = runner.core.pi
         # label curves take the width of a port number, as wide as the
         # run's cap under adversary ports
         self.port_bits = (budgets.port_cap_bits(config.port_cap)
@@ -392,7 +395,7 @@ def run(config: RunConfig) -> VerificationReport:
         events = generate_scenario(config.seed, config.events, config.p_delete)
     net = build_network(config)
     runner = build_runner(config, net)
-    fn = get_function(config.function)
+    fn = runner.core.fn
     mode, sample_size = config._parse_verify()
     rng_verify = random.Random(config.seed * 1_000_003 + 77)
     report = VerificationReport(config=dataclasses.asdict(config))

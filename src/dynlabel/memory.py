@@ -45,12 +45,7 @@ def slot_list_bits(xs: list) -> int:
     return len(xs) + counter_list_bits([x for x in xs if x is not None])
 
 
-# -- sibling order helpers ---------------------------------------------------
-
-
-def next_sibling(net, v, u):
-    order = net.children[v]
-    return order[(order.index(u) + 1) % len(order)]
+# -- backup holder ----------------------------------------------------------
 
 
 def copy_holder(net, v, u):
@@ -457,13 +452,13 @@ class BackupStore:
             self._place(child, order[order.index(child) - 1])
 
     def read_copy(self, parent, child) -> dict:
-        """Fetch the copy of a child's memory; charged if held by a sibling."""
+        """Fetch the copy of a child's memory: free at the parent, else
+        charged at its holder (see ``copy_holder``)."""
         net = self.engine.net
         held = self.copies.get(parent, {})
         if child in held:
             return held[child]
-        nxt = next_sibling(net, parent, child)
-        held = self.copies.get(nxt, {})
+        held = self.copies.get(copy_holder(net, parent, child), {})
         if child in held:
             net.ledger.count("backup", 2)
             return held[child]
@@ -505,11 +500,10 @@ class BackupStore:
                 if u not in here and u not in copies.get(nxt, none):
                     out.append(f"no copy of child {u} at {v} or {nxt}")
                 u = nxt
-        alive = net.alive
-        if (not all(map(alive.get, copies))
+        if (not all(map(net.is_alive, copies))
                 or max(map(len, copies.values()), default=0) > 2):
             for holder, held in copies.items():
-                if held and not alive.get(holder, False):
+                if held and not net.is_alive(holder):
                     out.append(f"dead node {holder} holds copies")
                 if len(held) > 2:
                     out.append(f"node {holder} holds {len(held)} copies")

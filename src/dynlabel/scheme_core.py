@@ -289,16 +289,15 @@ class SchemeCore:
         return scope
 
     def _count_scope(self, root, scope, level) -> int:
-        if self.deletions:
-            agg = lambda w: self.states[w].ever_share[level]
-        else:
-            agg = lambda w: 1
+        """The members' ever-shares summed: 1 each without deletions."""
         return self.net.broadcast_convergecast(
-            root, scope, agg, category="reset_count")
+            root, scope, lambda w: self.states[w].ever_share[level],
+            category="reset_count")
 
     def _seed_fresh_scopes(self, members, level: int) -> None:
         """Every member becomes the root of fresh scopes below `level`."""
         net = self.net
+        self_value = self.fn.self_value
         if len(members) > 1:
             net.ledger.count("broadcast", len(members) - 1)
         for w in members:
@@ -308,8 +307,7 @@ class SchemeCore:
             for l in range(1, level):
                 st.tally[l] = 0
                 st.ever_count[l] = 1
-            for l in range(2, level + 1):
-                st.links[l] = self.fn.self_value(net, w)
+            st.links[2:level + 1] = [self_value(net, w)] * (level - 1)
         self._dirty.update(members)
 
     def _collect_scope(self, level: int, root: int) -> dict:

@@ -149,9 +149,8 @@ class Network:
         self.parent = {0: None}
         self.children = {0: []}          # alive children, port order
         self.depth = {0: 0}
-        self.alive = {0: True}
         self.alive_list = [0]            # alive nodes, stable swap-remove order
-        self._alive_pos = {0: 0}
+        self._alive_pos = {0: 0}         # alive node -> its alive_list index
         # stored port numbers of each tree edge, keyed by its child end c
         self.down_port = {}              # c -> port at parent(c) toward c,
                                          # stable and adversary edges only
@@ -175,7 +174,7 @@ class Network:
         return len(self.alive_list)
 
     def is_alive(self, v) -> bool:
-        return self.alive.get(v, False)
+        return v in self._alive_pos
 
     def is_leaf(self, v) -> bool:
         return not self.children[v]
@@ -210,7 +209,6 @@ class Network:
         self.parent[child] = parent
         self.children[child] = []
         self.depth[child] = self.depth[parent] + 1
-        self.alive[child] = True
         self._alive_pos[child] = len(self.alive_list)
         self.alive_list.append(child)
         for cb in self._add_listeners:
@@ -230,7 +228,6 @@ class Network:
         self.children[self.parent[leaf]].remove(leaf)
         self.down_port.pop(leaf, None)
         del self.up_port[leaf]
-        self.alive[leaf] = False
         i = self._alive_pos.pop(leaf)
         last = self.alive_list.pop()
         if last != leaf:
@@ -284,11 +281,11 @@ class Network:
     def send(self, frm: int, to: int, category: str):
         """One charged hop from an alive node frm to its tree neighbour
         ``to``."""
-        parent = self.parent
-        if not (self.alive.get(frm)
+        parent, alive = self.parent, self._alive_pos
+        if not (frm in alive
                 and (parent.get(to) == frm or parent.get(frm) == to)):
             raise SimulationError(f"node {to} is not a neighbour of {frm}")
-        if not self.alive[to]:
+        if to not in alive:
             self.ledger.messages_to_dead += 1
             raise DeadNeighborError(f"message from {frm} to deleted node {to}")
         self.ledger.count(category)

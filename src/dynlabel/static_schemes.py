@@ -47,7 +47,6 @@ class DecodeError(ValueError):
 
 @dataclass(frozen=True)
 class StaticScheme:
-    name: str
     marker: Callable          # (net, root, scope map) -> {node: label}
     decoder: Callable         # (label_u, label_v) -> F value
     layout: tuple             # wire fields of a label (bits.encode/read)
@@ -264,16 +263,16 @@ def routing_decode(lu, lv):
 
 SCHEMES = {
     "ancestry": StaticScheme(
-        "ancestry", dfs_interval_marker, dfs_interval_decode, INTERVAL,
+        dfs_interval_marker, dfs_interval_decode, INTERVAL,
         interval_label_budget),
     "distance": StaticScheme(
-        "distance", separator_marker, separator_distance_decode, SEPARATOR,
+        separator_marker, separator_distance_decode, SEPARATOR,
         separator_label_budget),
     "seplevel": StaticScheme(
-        "seplevel", separator_marker, separator_seplevel_decode, SEPARATOR,
+        separator_marker, separator_seplevel_decode, SEPARATOR,
         separator_label_budget),
     "routing": StaticScheme(
-        "routing", routing_marker, routing_decode, ROUTING,
+        routing_marker, routing_decode, ROUTING,
         routing_label_budget),
 }
 

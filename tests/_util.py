@@ -273,7 +273,7 @@ def ref_backup_faults(store):
             if u not in copies.get(v, {}) and u not in copies.get(nxt, {}):
                 out.append(f"no copy of child {u} at {v} or {nxt}")
     for holder, held in copies.items():
-        if held and not net.alive.get(holder, False):
+        if held and not net.is_alive(holder):
             out.append(f"dead node {holder} holds copies")
         if len(held) > 2:
             out.append(f"node {holder} holds {len(held)} copies")

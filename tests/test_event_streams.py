@@ -45,7 +45,7 @@ def _target(net, pick, i):
 def _state(scheme):
     net = scheme.net
     return pickle.dumps((net.parent, net.children, net.down_port, net.up_port,
-                         net.alive, net.next_id, scheme.core.states,
+                         net.alive_list, net.next_id, scheme.core.states,
                          scheme.core.labels, scheme.core._anchor_rows,
                          scheme.core.backups and scheme.core.backups.copies,
                          net.ledger.messages_total))

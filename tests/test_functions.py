@@ -198,6 +198,26 @@ def test_outward_walk_matches_pairwise_oracle_both_ways(name):
                         net, v, u), (assignment, seed, v, u)
 
 
+@pytest.mark.parametrize("name", ALL_FUNCTIONS)
+def test_local_values_are_the_oracle_at_self_and_across_edges(name):
+    """``self_value`` equals the oracle at (w, w) for every node w, and
+    ``edge_value`` the oracle from each node's parent to it, on random
+    trees with deletions under every port assignment the function
+    takes."""
+    fn = get_function(name)
+    for assignment in PortAssignment:
+        if name == "routing" and assignment is PortAssignment.COMPACT:
+            continue
+        for seed in range(30):
+            net = _grown_net(assignment, seed)
+            for w in net.alive_nodes():
+                assert fn.self_value(net, w) == fn.oracle(net, w, w)
+                p = net.parent[w]
+                if p is not None:
+                    assert fn.edge_value(net, p, w) == fn.oracle(
+                        net, p, w), (assignment, seed, p, w)
+
+
 def _grown_net(assignment, seed, events=40):
     """Random tree from adds and leaf deletions under one assignment."""
     rng = random.Random(seed)

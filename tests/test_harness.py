@@ -11,6 +11,7 @@ from dynlabel.bits import BitsError
 from dynlabel.cli import main as cli_main
 from dynlabel.dynamic import DynamicScheme, IncreasingScheme, QuotaFunction
 from dynlabel.functions import get_function
+from dynlabel.harness import Mismatch, VerificationReport
 from dynlabel.memory import MemoryError_
 from dynlabel.scheme_core import SchemeCore, SchemeError
 from dynlabel.simnet import DeadNeighborError, ScenarioEvent, format_scenario
@@ -507,6 +508,35 @@ def test_report_json_round_trips():
     data = json.loads(r.to_json())
     assert data["passed"] is True
     assert data["final_n"] == 31
+
+
+def test_report_dict_is_a_detached_copy():
+    """On a report with mismatches, restarts and phases, ``to_json``
+    reads as the deep ``dataclasses.asdict`` copy would, and editing the
+    dict ``to_dict`` returns leaves the report as it was."""
+    r = VerificationReport(
+        config=dataclasses.asdict(RunConfig(model="dynamic", p_delete=0.2)),
+        queries_checked=9,
+        mismatches=[Mismatch(0, 4, 2, 3, "1", "3"),
+                    Mismatch(0, 7, 5, 0, "2", "1")],
+        errors=["event 8: SchemeError: marker produced duplicate labels"],
+        messages_by_category={"signal": 12, "marker": 30},
+        restarts=[(3, 4), (6, 5)], phases=[(2, 2, 2, 3)])
+    deep = dataclasses.asdict(r) | {"passed": r.passed()}
+    before = r.to_json()
+    assert before == json.dumps(deep, indent=2, default=str)
+    d = r.to_dict()
+    del d["config"]["seed"]
+    d["mismatches"][0]["u"] = -1
+    for key in ("mismatches", "restarts", "phases", "errors"):
+        d[key].append(None)
+    d["messages_by_category"]["signal"] = -1
+    assert r.to_json() == before
+
+
+def test_every_exported_name_resolves():
+    import dynlabel
+    assert [n for n in dynlabel.__all__ if not hasattr(dynlabel, n)] == []
 
 
 def test_config_rejects_unknown_function():

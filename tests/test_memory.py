@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from dynlabel import (DynamicScheme, FiniteScheme, IncreasingScheme, Network,
                       PortAssignment, QuotaFunction, budgets)
-from dynlabel.memory import MemoryError_, next_sibling
+from dynlabel.memory import MemoryError_, copy_holder
 
 from _util import RefBackupStore, grow_random, ports_at
 
@@ -203,7 +203,7 @@ def test_backup_middle_of_three_children_moves_to_next():
     order = net.children_by_port(0)
     victims = [u for u in order if net.is_leaf(u)]
     u = victims[len(victims) // 2]
-    nxt = next_sibling(net, 0, u)
+    nxt = copy_holder(net, 0, u)
     pre = order[order.index(u) - 1]
     if nxt in (u, pre):
         pytest.skip("need three distinct siblings")

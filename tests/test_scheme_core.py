@@ -9,7 +9,7 @@ from dynlabel import (DynamicScheme, FiniteScheme, IncreasingScheme, Network,
                       dynamic_label_bits, encode_dynamic_label,
                       generate_scenario, get_function, run, scheme_for)
 from dynlabel import static_schemes
-from dynlabel.harness import RUN_ERRORS
+from dynlabel.harness import RUN_ERRORS, build_network, build_runner
 from dynlabel.scheme_core import SchemeCore, SchemeError
 from dynlabel.simnet import InvalidEvent
 from dynlabel.static_schemes import DecodeError
@@ -261,6 +261,24 @@ def test_random_growth_queries_match_oracle(name):
             u = nodes[rng.randrange(len(nodes))]
             v = nodes[rng.randrange(len(nodes))]
             assert s.query(u, v) == fn.oracle(net, u, v), (name, u, v)
+
+
+@pytest.mark.parametrize("port_model", ["designer", "adversary"])
+@pytest.mark.parametrize("name", ["ancestry", "distance", "seplevel", "routing"])
+def test_increasing_ever_shares_stay_one(name, port_model):
+    """Without deletions every alive node's ever-share is 1 at every
+    level after every event, phase shifts included, so the ever-share
+    sum a reset counts is its member count."""
+    config = RunConfig(seed=5, events=300, function=name,
+                       port_model=port_model)
+    net = build_network(config)
+    runner = build_runner(config, net)
+    for ev in generate_scenario(config.seed, config.events, 0.0):
+        runner.apply(ev)
+        states, ones = runner.core.states, [1] * runner.levels
+        assert all(states[v].ever_share[1:] == ones
+                   for v in net.alive_list), ev
+    assert runner.phase_log
 
 
 def test_decomposition_invariants_hold_after_every_event():
