@@ -68,7 +68,9 @@ class SchemeCore:
     With ``deletions`` (the leaf-dynamic model) resets count every node
     that ever joined a scope, and backup copies let a parent repair its
     memory when a child leaves.  Port bookkeeping follows the network's
-    ports: designer renumbering on compact ones, child tables otherwise.
+    ports: on compact ones a child's port is its list position and only a
+    node's own up port moves, so scoped ports are a designer watermark
+    prefix; on stable or adversary ones, per-child tables.
     """
 
     def __init__(self, net, function: str, *, quota: int, levels: int,

@@ -3,8 +3,11 @@
 The network owns topology (parent pointers, port numbers, liveness), the
 only two topological events (add-leaf, remove-leaf), and the message
 ledger.  Protocol layers register listeners and are informed of events
-synchronously; event notifications themselves cost no messages, only
-explicit ``send`` calls are charged, one per hop to a tree neighbour.
+synchronously; event notifications themselves cost no messages.  Every
+hop to a tree neighbour is charged one message: ``send`` charges one
+hop, and a relay (``charge_path``) or a convergecast
+(``broadcast_convergecast``) charges all of its hops in one ledger
+entry.
 
 A port number belongs to one end of a tree edge.  Stored ports are
 keyed by the edge's child end c: ``up_port[c]`` is the port at c toward
@@ -278,9 +281,10 @@ class Network:
 
     # -- messaging ------------------------------------------------------
 
-    def send(self, frm: int, to: int, category: str):
-        """One charged hop from an alive node frm to its tree neighbour
-        ``to``."""
+    def _hop(self, frm: int, to: int) -> None:
+        """The hop rule, charging nothing: frm must be alive and ``to``
+        its tree neighbour, and a hop to a deleted neighbour is counted
+        in ``messages_to_dead`` and refused."""
         parent, alive = self.parent, self._alive_pos
         if not (frm in alive
                 and (parent.get(to) == frm or parent.get(frm) == to)):
@@ -288,20 +292,33 @@ class Network:
         if to not in alive:
             self.ledger.messages_to_dead += 1
             raise DeadNeighborError(f"message from {frm} to deleted node {to}")
+
+    def send(self, frm: int, to: int, category: str):
+        """One charged hop from an alive node frm to its tree neighbour
+        ``to``."""
+        self._hop(frm, to)
         self.ledger.count(category)
         return to
 
     def charge_path(self, frm: int, ancestor: int, category: str) -> int:
-        """Relay a signal from frm up to an ancestor, one hop per edge."""
+        """Relay a signal from frm up to an ancestor; returns the hops.
+        Each hop is checked as ``send`` checks it, and the relay's hops
+        are charged as one ledger entry when it ends, also when a hop
+        raises (none for no hops)."""
         hops = 0
         x = frm
-        while x != ancestor:
-            p = self.parent[x]
-            if p is None:
-                raise SimulationError(f"{ancestor} is not an ancestor of {frm}")
-            self.send(x, p, category)
-            x = p
-            hops += 1
+        try:
+            while x != ancestor:
+                p = self.parent[x]
+                if p is None:
+                    raise SimulationError(
+                        f"{ancestor} is not an ancestor of {frm}")
+                self._hop(x, p)
+                x = p
+                hops += 1
+        finally:
+            if hops:
+                self.ledger.count(category, hops)
         return hops
 
     def broadcast_convergecast(self, subtree_root: int, scope, aggregate,
@@ -312,19 +329,31 @@ class Network:
         (``children`` itself for the whole tree below ``subtree_root``);
         ``aggregate(node)`` yields each member's contribution, and the
         sum over the members reached from ``subtree_root`` is returned.
-        Charges exactly 2*(m-1) messages for the m members reached.
+
+        Every crossing, down and then up each scope edge, is checked as
+        ``send`` checks it; the traversal's crossings, 2*(m-1) for the m
+        members reached, are charged as one ledger entry when it ends,
+        also when a hop or ``aggregate`` raises (none for no crossings).
         """
         if not self.is_alive(subtree_root):
             raise SimulationError(f"subtree root {subtree_root} not alive")
+        hop = self._hop
+        crossings = 0
         total = aggregate(subtree_root)
         stack = [subtree_root]
-        while stack:
-            v = stack.pop()
-            for c in scope[v]:
-                self.send(v, c, category)      # down
-                self.send(c, v, category)      # up
-                total += aggregate(c)
-                stack.append(c)
+        try:
+            while stack:
+                v = stack.pop()
+                for c in scope[v]:
+                    hop(v, c)                  # down
+                    crossings += 1
+                    hop(c, v)                  # up
+                    crossings += 1
+                    total += aggregate(c)
+                    stack.append(c)
+        finally:
+            if crossings:
+                self.ledger.count(category, crossings)
         return total
 
     # -- structural checks ----------------------------------------------

@@ -13,8 +13,10 @@ marker sets once when it builds the label (``bits.sized``).
 
 Each marker walks its scope once per job: the interval and routing
 markers share one preorder (``_preorder``) and the subtree sizes read
-off it (``_sizes``), and the separator marker finds each centroid with
-one walk of its component, whose order is the component.
+off it (``_sizes``), and the separator marker walks each component of
+its decomposition once, out of the component's centroid: that walk
+gives the members their distances and each remaining part the order
+and walk parents from which the part's own centroid is found.
 
 Schemes provided:
 
@@ -114,7 +116,8 @@ SEPARATOR = (bits.UINT, bits.UINT, bits.PAIRS)
 
 def separator_marker(net, root, scope):
     """Recursive centroid decomposition; labels carry one (separator,
-    distance) entry per level plus the node's depth in the whole tree."""
+    distance) entry per level plus the node's depth in the whole tree;
+    one walk per component, out of its centroid."""
     _charge_traversal(net, root, scope)
     # the traversal reached every member but the root from its parent
     nbrs = {v: kids if v == root else kids + [net.parent[v]]
@@ -122,65 +125,66 @@ def separator_marker(net, root, scope):
     uid = {v: i for i, v in enumerate(sorted(scope))}
     entries = {v: [] for v in scope}
     removed = set()
-    work = [root]
+    order, up, _ = _walk(root, None, nbrs, removed)
+    work = [(order, up)]
     while work:
-        seed = work.pop()
-        comp, c = _centroid(seed, nbrs, removed)
-        dist = _tree_dist(c, nbrs, removed)
-        for v in comp:
-            entries[v].append((uid[c], dist[v]))
+        c = _centroid(*work.pop())
         removed.add(c)
-        # every neighbour not removed seeds one part of the component
+        sep = uid[c]
+        entries[c].append((sep, 0))
+        # every neighbour not removed roots one part of the component
         for w in nbrs[c]:
             if w not in removed:
-                work.append(w)
+                order, up, dist = _walk(w, c, nbrs, removed)
+                for v, d in zip(order, dist):
+                    entries[v].append((sep, d))
+                work.append((order, up))
     return {v: bits.sized(SEPARATOR, (uid[v], net.depth[v], tuple(entries[v])))
             for v in scope}
 
 
-def _centroid(seed, nbrs, removed):
-    """One DFS over the seed's component (the members not removed that
-    it reaches); returns its order and the centroid, the member whose
-    removal leaves the smallest largest part, ties to smallest id."""
-    order = []
-    par = {seed: None}
-    stack = [seed]
+def _walk(start, frm, nbrs, removed):
+    """One DFS over start's part: the members not removed that it
+    reaches without crossing frm.  Returns the part in walk order
+    (parents first), each member's walk parent as a position in that
+    order (-1 for start) and its distance from frm, start's being 1."""
+    order, up, dist = [], [], []
+    stack = [(start, frm, -1, 1)]
     while stack:
-        v = stack.pop()
+        v, p, i, d = stack.pop()
+        j = len(order)
         order.append(v)
+        up.append(i)
+        dist.append(d)
+        d += 1
         for w in nbrs[v]:
-            if w not in removed and w != par[v]:
-                par[w] = v
-                stack.append(w)
+            if w != p and w not in removed:
+                stack.append((w, v, j, d))
+    return order, up, dist
+
+
+def _centroid(order, up):
+    """The member of a walked part whose removal leaves the smallest
+    largest part, ties to smallest id.  A tree has one such member, or
+    two joined by an edge that halves it (Jordan), and the walk from
+    its start toward the larger half ends at one of them; the parts do
+    not depend on where the walk started, so neither does the result."""
     m = len(order)
-    size = dict.fromkeys(order, 1)
-    big = dict.fromkeys(order, 0)           # largest child part
-    for v in reversed(order):
-        p = par[v]
-        if p is not None:
-            size[p] += size[v]
-            if size[v] > big[p]:
-                big[p] = size[v]
-    # an explicit loop measured faster than min(key=...) on Python 3.11
-    best = None
-    for v in order:
-        key = (max(m - size[v], big[v]), v)
-        if best is None or key < best:
-            best = key
-    return order, best[1]
-
-
-def _tree_dist(start, nbrs, removed):
-    """Distances from start to the members not removed (one path each)."""
-    dist = {start: 0}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for w in nbrs[v]:
-            if w not in removed and w not in dist:
-                dist[w] = dist[v] + 1
-                stack.append(w)
-    return dist
+    size = [1] * m
+    big = [0] * m                           # largest child part
+    heavy = [0] * m                         # its position
+    for j in range(m - 1, 0, -1):
+        p, s = up[j], size[j]
+        size[p] += s
+        if s > big[p]:
+            big[p] = s
+            heavy[p] = j
+    j = 0
+    while 2 * big[j] > m:
+        j = heavy[j]
+    if 2 * big[j] == m:
+        return min(order[j], order[heavy[j]])
+    return order[j]
 
 
 def separator_distance_decode(lu, lv):

@@ -2,11 +2,13 @@
 
 import random
 
-from dynlabel import Network, PortAssignment, scheme_core
+from dynlabel import Network, PortAssignment, bits, scheme_core
 from dynlabel.functions import outward
 from dynlabel.harness import (AUTO_EXHAUSTIVE_LIMIT, EXHAUSTIVE_HARD_CAP,
                               ExhaustiveCapError, Mismatch)
 from dynlabel.memory import BackupStore, take_snapshot
+from dynlabel.simnet import SimulationError
+from dynlabel.static_schemes import SEPARATOR, _charge_traversal
 
 
 def rooted_trees(n):
@@ -377,3 +379,106 @@ class RefBackupStore(BackupStore):
         for x in (parent, *order):
             self._erase(x, child)
         self.copies.pop(child, None)
+
+
+# -- reference messaging and separator marker -------------------------------
+#
+# Relays and convergecasts as they ran before a traversal became one
+# ledger entry: one ``send``, and so one ledger entry, per hop.  And the
+# separator marker as it ran before one walk per component: a walk of
+# each component to find its centroid, then a second walk out of the
+# centroid for the distances.  The network's walkers and the marker must
+# return, raise and charge what these do.
+
+
+def ref_charge_path(net, frm, ancestor, category):
+    """``Network.charge_path`` by one ``send`` per hop."""
+    hops = 0
+    x = frm
+    while x != ancestor:
+        p = net.parent[x]
+        if p is None:
+            raise SimulationError(f"{ancestor} is not an ancestor of {frm}")
+        net.send(x, p, category)
+        x = p
+        hops += 1
+    return hops
+
+
+def ref_broadcast_convergecast(net, subtree_root, scope, aggregate,
+                               category="reset_count"):
+    """``Network.broadcast_convergecast`` by one ``send`` per crossing."""
+    if not net.is_alive(subtree_root):
+        raise SimulationError(f"subtree root {subtree_root} not alive")
+    total = aggregate(subtree_root)
+    stack = [subtree_root]
+    while stack:
+        v = stack.pop()
+        for c in scope[v]:
+            net.send(v, c, category)      # down
+            net.send(c, v, category)      # up
+            total += aggregate(c)
+            stack.append(c)
+    return total
+
+
+def ref_separator_marker(net, root, scope):
+    """``static_schemes.separator_marker`` by two walks per component."""
+    _charge_traversal(net, root, scope)
+    nbrs = {v: kids if v == root else kids + [net.parent[v]]
+            for v, kids in scope.items()}
+    uid = {v: i for i, v in enumerate(sorted(scope))}
+    entries = {v: [] for v in scope}
+    removed = set()
+    work = [root]
+    while work:
+        seed = work.pop()
+        comp, c = _ref_centroid(seed, nbrs, removed)
+        dist = _ref_tree_dist(c, nbrs, removed)
+        for v in comp:
+            entries[v].append((uid[c], dist[v]))
+        removed.add(c)
+        for w in nbrs[c]:
+            if w not in removed:
+                work.append(w)
+    return {v: bits.sized(SEPARATOR, (uid[v], net.depth[v], tuple(entries[v])))
+            for v in scope}
+
+
+def _ref_centroid(seed, nbrs, removed):
+    """The seed's component in DFS order, and its centroid: the member
+    whose removal leaves the smallest largest part, ties to smallest
+    id."""
+    order = []
+    par = {seed: None}
+    stack = [seed]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        for w in nbrs[v]:
+            if w not in removed and w != par[v]:
+                par[w] = v
+                stack.append(w)
+    m = len(order)
+    size = dict.fromkeys(order, 1)
+    big = dict.fromkeys(order, 0)
+    for v in reversed(order):
+        p = par[v]
+        if p is not None:
+            size[p] += size[v]
+            if size[v] > big[p]:
+                big[p] = size[v]
+    return order, min(order, key=lambda v: (max(m - size[v], big[v]), v))
+
+
+def _ref_tree_dist(start, nbrs, removed):
+    """Distances from start to the members not removed."""
+    dist = {start: 0}
+    stack = [start]
+    while stack:
+        v = stack.pop()
+        for w in nbrs[v]:
+            if w not in removed and w not in dist:
+                dist[w] = dist[v] + 1
+                stack.append(w)
+    return dist

@@ -6,11 +6,11 @@ from hypothesis import given, strategies as st
 
 import dynlabel
 from dynlabel import (DynamicScheme, ExactChangeTracker, IncreasingScheme,
-                      Network, QuotaFunction, ScenarioEvent,
+                      Network, PortAssignment, QuotaFunction, ScenarioEvent,
                       compute_phase_params, generate_scenario, get_function,
                       scheme_for)
 from dynlabel.harness import build_network, RunConfig, run
-from dynlabel.scheme_core import SchemeError
+from dynlabel.scheme_core import SchemeCore, SchemeError
 from dynlabel.simnet import InvalidEvent
 
 from _util import build_net, grow_random
@@ -399,3 +399,81 @@ def test_driver_seam_wraps_each_model_once_per_event(monkeypatch):
     assert restarted
     for name in dynlabel.__all__:
         assert getattr(dynlabel, name) is not None
+
+
+def _scope_size(core, level, root):
+    """Members of root's level-`level` scope, counted over the children
+    lists: a child is in its parent's scope unless it roots its own
+    scope at that level."""
+    states, children = core.states, core.net.children
+    m, stack = 0, [root]
+    while stack:
+        v = stack.pop()
+        m += 1
+        stack.extend(c for c in children[v] if states[c].top_scope < level)
+    return m
+
+
+def _tree_size(net):
+    m, stack = 0, [net.root]
+    while stack:
+        m += 1
+        stack.extend(net.children[stack.pop()])
+    return m
+
+
+@pytest.mark.parametrize("seed,quota_fn", [(3, "pow:0.5"), (8, "const:2")])
+@pytest.mark.parametrize("assignment", [PortAssignment.COMPACT,
+                                        PortAssignment.ADVERSARY])
+@pytest.mark.parametrize("model", [IncreasingScheme, DynamicScheme])
+def test_costs_are_the_tree_identities(monkeypatch, model, assignment, seed,
+                                      quota_fn):
+    """Each cost, computed from the tree before the work is charged: a
+    reset of m members charges 2(m-1) ``reset_count`` and 2(m-1)
+    ``marker``; a relay, its two ends' depth difference; a restart on n0
+    nodes 2(n0-1) ``watch`` for its measurement, 2(n0-1) ``reset_count``
+    and ``marker``, and n0-1 ``broadcast``."""
+    got, want, levels = [], [], set()
+
+    def charged(net, costs, step, *args):
+        want.append(costs)
+        before = {c: net.ledger.category(c) for c in costs}
+        out = step(*args)
+        got.append({c: net.ledger.category(c) - b for c, b in before.items()})
+        return out
+
+    def reset(core, level, root, _reset=SchemeCore._reset):
+        m = _scope_size(core, level, root)
+        levels.add(level)
+        return charged(core.net, {"reset_count": 2 * (m - 1),
+                                  "marker": 2 * (m - 1)},
+                       _reset, core, level, root)
+
+    def charge_path(net, frm, ancestor, category,
+                    _charge_path=Network.charge_path):
+        return charged(net, {category: net.depth[frm] - net.depth[ancestor]},
+                       _charge_path, net, frm, ancestor, category)
+
+    def restart(driver, _restart=DynamicScheme._restart):
+        n0 = _tree_size(driver.net)
+        return charged(driver.net, {"watch": 2 * (n0 - 1),
+                                    "reset_count": 2 * (n0 - 1),
+                                    "marker": 2 * (n0 - 1),
+                                    "broadcast": n0 - 1},
+                       _restart, driver)
+
+    monkeypatch.setattr(SchemeCore, "_reset", reset)
+    monkeypatch.setattr(Network, "charge_path", charge_path)
+    monkeypatch.setattr(DynamicScheme, "_restart", restart)
+    net = Network(assignment=assignment, rng=random.Random(seed))
+    scheme = model(net, "distance", QuotaFunction.parse(quota_fn))
+    for event in generate_scenario(seed, 400,
+                                   0.3 if model is DynamicScheme else 0.0):
+        scheme.apply(event)
+    assert got == want
+    kinds = {tuple(w) for w in want}
+    assert {("reset_count", "marker"), ("signal",)} <= kinds
+    assert (("watch", "reset_count", "marker", "broadcast") in kinds) == (
+        model is DynamicScheme)
+    if quota_fn == "const:2":
+        assert max(levels) >= 2

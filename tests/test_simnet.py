@@ -1,12 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dynlabel import (DynamicScheme, Network, PortAssignment, QuotaFunction,
                       ScenarioEvent, format_scenario, parse_scenario)
 from dynlabel.simnet import DeadNeighborError, InvalidEvent, SimulationError
 
-from _util import build_net, ports_at, scope_of
+from _util import (build_net, ports_at, ref_broadcast_convergecast,
+                   ref_charge_path, scope_of)
 
 
 class FixedPorts:
@@ -321,3 +323,77 @@ def test_full_adversary_port_range_at_a_non_root_node_counts_its_parent_port():
         net.add_leaf(u)
     assert (net.next_id, net.down_port, net.up_port) == before
     assert net.check_ports() == []
+
+
+# ids -1..13 name the root, nodes alive or removed, and ids never handed
+# out; a "wild" scope maps them to lists of them, so its hops reach
+# non-neighbours, removed nodes and missing keys
+IDS = st.integers(-1, 13)
+TRAVERSALS = st.lists(st.tuples(
+    st.sampled_from(["path", "children", "subtree", "singleton", "wild"]),
+    IDS, IDS,
+    st.lists(IDS, max_size=10),
+    st.dictionaries(IDS, st.lists(IDS, max_size=3), max_size=10),
+    st.one_of(st.none(), IDS),
+    st.sampled_from(["signal", "watch", "reset_count", "marker"])),
+    min_size=1, max_size=5)
+
+
+def _traverse(net, walkers, op):
+    """One relay or convergecast by ``walkers`` (the network's own or the
+    per-hop references): its return value or its error, type and
+    message."""
+    kind, a, b, members, wild, fail_at, category = op
+    charge_path, convergecast = walkers
+
+    def aggregate(v):
+        if v == fail_at:
+            raise LookupError(f"no weight at {v}")
+        return 3 * v + 1
+
+    if kind == "path":
+        call = lambda: charge_path(net, a, b, category)
+    else:
+        if kind == "children":
+            scope = net.children
+        elif kind == "subtree":
+            known = {v for v in (a, *members) if v in net.children}
+            scope = scope_of(net, a, known) if a in known else {}
+        elif kind == "singleton":
+            scope = {a: []}
+        else:
+            scope = wild
+        call = lambda: convergecast(net, a, scope, aggregate, category)
+    try:
+        return call()
+    except (SimulationError, LookupError) as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(parents=st.lists(st.integers(0, 1 << 16), max_size=12),
+       removals=st.lists(st.integers(0, 1 << 16), max_size=4),
+       traversals=TRAVERSALS)
+def test_walkers_return_raise_and_charge_as_per_hop_sends(parents, removals,
+                                                         traversals):
+    """A relay or convergecast charges its hops in one ledger entry, yet
+    returns, raises and charges exactly what one ``send`` per hop does:
+    the same value or error, totals, dead-node count and categories in
+    the same order, also when a hop or the aggregate raises mid-way."""
+    parents = [p % (i + 1) for i, p in enumerate(parents)]
+    nets = [build_net(parents), build_net(parents)]
+    for net in nets:
+        for i in removals:
+            leaves = [v for v in net.alive_list
+                      if v != net.root and net.is_leaf(v)]
+            if leaves:
+                net.remove_leaf(leaves[i % len(leaves)])
+    walkers = [(Network.charge_path, Network.broadcast_convergecast),
+               (ref_charge_path, ref_broadcast_convergecast)]
+    for op in traversals:
+        got, want = (_traverse(net, w, op) for net, w in zip(nets, walkers))
+        assert got == want
+        new, ref = (net.ledger for net in nets)
+        assert new.messages_total == ref.messages_total
+        assert new.messages_to_dead == ref.messages_to_dead
+        assert list(new.by_category.items()) == list(ref.by_category.items())

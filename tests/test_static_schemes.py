@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dynlabel import PortAssignment, bits, get_function, scheme_for
 from dynlabel.functions import ROUTE_SELF
@@ -8,7 +9,7 @@ from dynlabel.static_schemes import (INTERVAL, SEPARATOR, DecodeError,
                                      dfs_interval_decode, routing_decode,
                                      separator_distance_decode)
 
-from _util import build_net, random_parents, scope_of
+from _util import build_net, random_parents, ref_separator_marker, scope_of
 
 
 def _iv(a, b):
@@ -243,3 +244,52 @@ def test_fresh_resets_discard_old_labels():
     net.add_leaf(0)
     second = pi.marker(net, 0, scope_of(net, 0, net.alive_nodes()))
     assert first[0] != second[0]
+
+
+def _shape(name, n, rng):
+    """Parent vector of an n-node tree of the named shape; a broom is a
+    handle of about n/2 nodes with a star at its tip."""
+    if name == "random":
+        return random_parents(rng, n)
+    if name == "chain":
+        return list(range(n - 1))
+    if name == "star":
+        return [0] * (n - 1)
+    h = n // 2
+    return list(range(h)) + [h] * (n - 1 - h)
+
+
+def _collected_scope(net, root, keep):
+    """A scope map built as resets collect one: a walk from root, each
+    member mapped to its kept children in port order."""
+    scope = {}
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        scope[v] = [c for c in net.children[v] if keep(c)]
+        stack.extend(scope[v])
+    return scope
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(["distance", "seplevel"]),
+       shape=st.sampled_from(["random", "chain", "star", "broom"]),
+       n=st.integers(1, 60), seed=st.integers(0, 10 ** 6),
+       below=st.booleans(), pruned=st.booleans())
+def test_separator_marker_matches_the_two_walk_reference(name, shape, n, seed,
+                                                         below, pruned):
+    """One walk per component labels every member as two walks did: the
+    same labels in the same key order, and the same messages, on whole
+    trees and on scopes rooted below the root."""
+    rng = random.Random(seed)
+    parents = _shape(shape, n, rng)
+    nets = [build_net(parents), build_net(parents)]
+    root = rng.randrange(n) if below else 0
+    cut = {v for v in range(1, n) if pruned and rng.random() < 0.2}
+    scope = _collected_scope(nets[0], root, lambda c: c not in cut)
+    got = scheme_for(name).marker(nets[0], root, scope)
+    want = ref_separator_marker(nets[1], root, scope)
+    assert list(got.items()) == list(want.items())
+    new, ref = (net.ledger for net in nets)
+    assert list(new.by_category.items()) == list(ref.by_category.items())
+    assert new.marker_last_messages == ref.marker_last_messages
