@@ -239,16 +239,17 @@ def verify_step(runner, fn, mode, sample_size, rng, event_index, seed,
     ``memo``: its mismatch, if it had one, is reported again under this
     event.  The carried outcome is the fresh one.  The decoder reads
     nothing but the two labels, and the scheme stores a new label object
-    whenever it rebuilds a label (a label replaced from outside is a new
-    object too), so the decoded value is the same.  The oracle value
+    whenever a rebuilt label differs from the stored one (a rebuilt label
+    equal to it keeps the stored object; a label replaced from outside is
+    a new object), so the decoded value is the same.  The oracle value
     reads only the ``fn.facts`` of the nodes on the pair's path, which
     all survive; leaf additions and removals rewrite no fact of a
     surviving node, and if one was rewritten anyway the memo is cleared
     and every pair is checked fresh.  Each changed node w takes one
     ``outward`` walk, whose (a, via) gives both F(w, v) and F(v, w).
 
-    A step that samples clears the memo, so a tree grown past the
-    exhaustive limit carries nothing stale.
+    A step that samples (``_check_sample``) clears the memo, so a tree
+    grown past the exhaustive limit carries nothing stale.
     """
     net = runner.net
     n = net.alive_count
@@ -260,7 +261,8 @@ def verify_step(runner, fn, mode, sample_size, rng, event_index, seed,
     if exhaustive:
         decode = scheme_core.decode_labels
         nodes = sorted(net.alive_list)
-        labels = {v: runner.label(v) for v in nodes}
+        label = runner.core.label
+        labels = {v: label(v) for v in nodes}
         columns = [map(getattr(net, name).get, nodes) for name in fn.facts]
         facts = dict(zip(nodes, zip(*columns)))
         last_facts = memo.facts
@@ -307,16 +309,37 @@ def verify_step(runner, fn, mode, sample_size, rng, event_index, seed,
         report.queries_checked += n * n if ordered else n * (n + 1) // 2
     else:
         memo.clear()
-        pool = net.alive_list
-        for _ in range(sample_size):
-            u = pool[rng.randrange(len(pool))]
-            v = pool[rng.randrange(len(pool))]
-            got = runner.query(u, v)
-            want = fn.oracle(net, u, v)
-            if got != want:
-                report.mismatches.append(Mismatch(
-                    seed, event_index, u, v, repr(got), repr(want)))
-        report.queries_checked += sample_size
+        _check_sample(runner, fn, sample_size, rng, event_index, seed, report)
+
+
+def _check_sample(runner, fn, sample_size, rng, event_index, seed,
+                  report: VerificationReport) -> None:
+    """Check ``sample_size`` random pairs of alive nodes, each decoded
+    by one ``SchemeCore.query`` and compared with one ``fn.oracle``
+    value.  Each node is ``pool[rng.randrange(n)]``, drawn as
+    ``randrange`` draws it (``getrandbits`` of n's bit length, drawn
+    again while not below n), so a seed gives the same pairs in the same
+    order."""
+    net = runner.net
+    pool = net.alive_list
+    n = len(pool)
+    query, oracle = runner.core.query, fn.oracle
+    draw, k = rng.getrandbits, n.bit_length()
+    for _ in range(sample_size):
+        r = draw(k)
+        while r >= n:
+            r = draw(k)
+        u = pool[r]
+        r = draw(k)
+        while r >= n:
+            r = draw(k)
+        v = pool[r]
+        got = query(u, v)
+        want = oracle(net, u, v)
+        if got != want:
+            report.mismatches.append(Mismatch(
+                seed, event_index, u, v, repr(got), repr(want)))
+    report.queries_checked += sample_size
 
 
 class _BoundTracker:

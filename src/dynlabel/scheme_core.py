@@ -24,7 +24,9 @@ answer for the two scope roots.
 Labels are kept state.  Every write that can change a node's label or
 anchor row (its nearest scope root per level) marks the node dirty, and
 the flush that ends each event rebuilds the row of each dirty node from
-its parent's and assembles its label once from the row.  Queries read
+its parent's and assembles its label once from the row.  A rebuilt label
+equal to the stored one keeps the stored object and is not sized again,
+so a label object changes exactly when its value does.  Queries read
 the stored labels.
 """
 
@@ -368,7 +370,11 @@ class SchemeCore:
         A node's row is its own id up to its scope flag and its parent's
         row above.  Dirty nodes go in id order and ``Network.add_leaf``
         hands out increasing ids, so a dirty parent's row is refreshed
-        before its children's rows are built from it."""
+        before its children's rows are built from it.
+
+        A rebuilt label equal (``==``) to the stored one is dropped and
+        the stored object kept, unsized: its bits were noted when it was
+        stored, and the ledger keeps a running maximum."""
         net = self.net
         dirty = sorted(filter(net.is_alive, self._dirty))
         self._dirty.clear()
@@ -376,15 +382,17 @@ class SchemeCore:
             for x in dirty:
                 if x != net.root:
                     self.backups.refresh(x)
-        fn, ledger = self.fn, net.ledger
+        fn, ledger, labels = self.fn, net.ledger, self.labels
         for x in dirty:
             lab = self._refresh_label(x)
-            ledger.note_label_bits(dynamic_label_bits(fn, lab))
+            if lab != labels.get(x):
+                labels[x] = lab
+                ledger.note_label_bits(dynamic_label_bits(fn, lab))
             ledger.note_memory_bits(self.memory_bits(x))
 
     def _refresh_label(self, x: int):
-        """Rebuild x's anchor row from its parent's and assemble its
-        label from the row; store both and return the label."""
+        """Rebuild and store x's anchor row from its parent's, and
+        assemble and return its label from the row."""
         levels, states = self.levels, self.states
         rows = self._anchor_rows
         st = states[x]
@@ -406,7 +414,6 @@ class SchemeCore:
         for l in range(2, levels + 1):
             if states[row[l]].tally[l] >= 1:
                 lab = ("N", states[row[l - 1]].statics[l], links[l], lab)
-        self.labels[x] = lab
         return lab
 
     def memory_bits(self, v: int) -> int:

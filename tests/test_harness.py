@@ -2,8 +2,10 @@ import dataclasses
 import itertools
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dynlabel import (Network, PortAssignment, RunConfig, generate_scenario,
                       harness, run, scheme_core)
@@ -236,6 +238,71 @@ def test_carried_mismatches_are_those_of_a_fresh_check(
         assert got.errors == want.errors == [], config
         carried += len(got.mismatches) - wrong_given
     assert carried > 0
+
+
+# any size up to 2^21, and powers of two and their neighbours, where
+# randrange's rejection rule redraws most and least often
+_POOL_SIZES = st.one_of(
+    st.integers(1, 1 << 21),
+    st.builds(lambda k, d: max(1, min((1 << k) + d, 1 << 21)),
+              st.integers(0, 21), st.sampled_from((-1, 0, 1))))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 1 << 64), n=_POOL_SIZES, m=st.integers(0, 40))
+@example(seed=0, n=1, m=8)
+@example(seed=1, n=(1 << 21) - 1, m=8)
+@example(seed=2, n=(1 << 20) + 1, m=8)
+def test_sampled_pairs_are_those_randrange_draws(seed, n, m):
+    """A sampled check of a pool of n nodes queries, in order, the pairs
+    ``(pool[r.randrange(n)], pool[r.randrange(n)])`` of a twin
+    ``random.Random`` and leaves its generator where the twin's is."""
+    pool = range(5, 5 + 3 * n, 3)
+    pairs = []
+    runner = SimpleNamespace(
+        net=SimpleNamespace(alive_list=pool),
+        core=SimpleNamespace(query=lambda u, v: pairs.append((u, v))))
+    fn = SimpleNamespace(oracle=lambda net, u, v: None)
+    report = VerificationReport(config={})
+    rng, twin = random.Random(seed), random.Random(seed)
+    harness._check_sample(runner, fn, m, rng, 1, seed, report)
+    assert pairs == [(pool[twin.randrange(n)], pool[twin.randrange(n)])
+                     for _ in range(m)]
+    assert rng.getstate() == twin.getstate()
+    assert report.queries_checked == m and report.mismatches == []
+
+
+@pytest.mark.parametrize("function", ["ancestry", "distance", "seplevel",
+                                      "routing"])
+def test_sampled_mismatches_are_those_of_the_reference(monkeypatch,
+                                                       function):
+    """400-event leaf-dynamic runs under ``sampled:16`` with a decoder
+    wrong on some pairs report the mismatches of ``ref_verify_step``,
+    which draws with ``randrange``, entry by entry, sampled steps
+    included."""
+    decode = scheme_core.decode_labels
+    for seed, port_model in enumerate(("designer", "adversary")):
+        config = RunConfig(seed=seed, events=400, model="dynamic",
+                           p_delete=0.3, port_model=port_model,
+                           function=function, verify="sampled:16",
+                           invariants="off", bounds=False)
+        reports = []
+        for step in (harness.verify_step, ref_verify_step):
+            with monkeypatch.context() as m:
+                m.setattr(scheme_core, "decode_labels",
+                          _wrong_on_some_pairs(decode, []))
+                m.setattr(harness, "verify_step", step)
+                reports.append(run(config))
+        got, want = reports
+        for a, b in itertools.zip_longest(got.mismatches, want.mismatches):
+            assert a == b, config
+        assert got.queries_checked == want.queries_checked, config
+        assert got.errors == want.errors == [], config
+        events = generate_scenario(seed, 400, 0.3)
+        sizes = list(itertools.accumulate(
+            (1 if e.kind == "A" else -1 for e in events), initial=1))
+        assert any(sizes[x.event_index] > harness.AUTO_EXHAUSTIVE_LIMIT
+                   for x in got.mismatches), config
 
 
 def test_a_failing_decode_ends_the_check_as_pair_order_would(monkeypatch):

@@ -8,7 +8,9 @@ import importlib.util
 from collections import Counter
 from pathlib import Path
 
-from dynlabel import PortAssignment, RunConfig, run
+from dynlabel import PortAssignment, RunConfig, harness, run
+from dynlabel.functions import TreeFunction
+from dynlabel.scheme_core import SchemeCore
 from dynlabel.static_schemes import SCHEMES
 
 from _util import build_net, scope_of
@@ -106,3 +108,52 @@ def test_the_decode_seam_sees_every_exhaustive_decode():
     decodes = tracer.calls["scheme_core.decode_labels"]
     assert decodes > 0
     assert decodes == tracer.calls["static_schemes.decoder"]
+
+
+def test_verify_steps_call_the_counted_seams_once_per_read(monkeypatch):
+    """A sampled step of m pairs makes m ``SchemeCore.query`` and m
+    ``fn.oracle`` calls; an exhaustive step reads each alive node's
+    label through ``SchemeCore.label`` exactly once and makes neither
+    call.  So the benchmark's ``scheme_core.query.calls``,
+    ``scheme_core.label.calls_per_query`` and ``functions.oracle.calls``
+    count what they did when every pair took its own calls."""
+    m = 16
+    queries, oracles, labels = [], [], []
+    query, label = SchemeCore.query, SchemeCore.label
+    oracle = TreeFunction.oracle
+
+    def counted(calls, real):
+        def wrapper(*args):
+            calls.append(args[1:])
+            return real(*args)
+        return wrapper
+
+    steps = []
+    step = harness.verify_step
+
+    def recorded(runner, *args):
+        seen = len(queries), len(oracles), len(labels)
+        alive = sorted(runner.net.alive_list)
+        step(runner, *args)
+        steps.append((alive, len(queries) - seen[0], len(oracles) - seen[1],
+                      labels[seen[2]:]))
+
+    monkeypatch.setattr(SchemeCore, "query", counted(queries, query))
+    monkeypatch.setattr(TreeFunction, "oracle", counted(oracles, oracle))
+    monkeypatch.setattr(SchemeCore, "label", counted(labels, label))
+    monkeypatch.setattr(harness, "verify_step", recorded)
+    for function in ("distance", "routing"):
+        r = run(RunConfig(seed=3, events=300, model="dynamic", p_delete=0.3,
+                          function=function, port_model="adversary",
+                          verify=f"sampled:{m}", invariants="off"))
+        assert r.passed(), function
+    sampled = exhaustive = 0
+    for alive, n_queries, n_oracles, read in steps:
+        if len(alive) > harness.AUTO_EXHAUSTIVE_LIMIT:
+            sampled += 1
+            assert (n_queries, n_oracles, len(read)) == (m, m, 2 * m)
+        else:
+            exhaustive += 1
+            assert (n_queries, n_oracles) == (0, 0)
+            assert sorted(w for (w,) in read) == alive
+    assert sampled > 100 and exhaustive > 100

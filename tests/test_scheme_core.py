@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -456,6 +457,53 @@ def test_labels_are_assembled_once_per_dirty_node_at_flush(monkeypatch):
                           p_delete=0.3, function="distance", verify=verify))
         assert r.passed() and r.queries_checked > events
     assert outside == [] and sum(sizes) > 300
+
+
+def test_label_objects_change_with_their_values_and_are_sized_once(
+        monkeypatch):
+    """After every flush the stored label of each refreshed node equals
+    the one just rebuilt, and a node keeps its label object exactly when
+    the rebuilt label equals the stored one; the ledger's maximum label
+    size is the largest size of any label object ever stored, so a kept
+    object needs no sizing again."""
+    flush, refresh = SchemeCore._flush_event, SchemeCore._refresh_label
+    rebuilt = {}
+    largest = kept = changed = 0
+
+    def refreshing(core, x):
+        rebuilt[x] = refresh(core, x)
+        return rebuilt[x]
+
+    def flushing(core):
+        nonlocal largest, kept, changed
+        before = dict(core.labels)
+        rebuilt.clear()
+        flush(core)
+        labels = core.labels
+        for x, lab in rebuilt.items():
+            assert labels[x] == lab
+            if x in before:
+                assert (labels[x] is before[x]) == (lab == before[x])
+                kept += labels[x] is before[x]
+                changed += labels[x] is not before[x]
+        for x, lab in labels.items():
+            assert (lab is before.get(x)) or x in rebuilt
+            largest = max(largest, dynamic_label_bits(core.fn, lab))
+        assert core.net.ledger.max_label_bits == largest
+
+    monkeypatch.setattr(SchemeCore, "_flush_event", flushing)
+    monkeypatch.setattr(SchemeCore, "_refresh_label", refreshing)
+    grid = itertools.product(("ancestry", "distance", "seplevel", "routing"),
+                             ("increasing", "dynamic"),
+                             ("designer", "adversary"))
+    for seed, (function, model, port_model) in enumerate(grid):
+        largest = 0
+        r = run(RunConfig(seed=seed, events=300, model=model,
+                          p_delete=0.3 if model == "dynamic" else 0.0,
+                          port_model=port_model, function=function,
+                          verify="off", invariants="off"))
+        assert r.passed() and r.events_applied == 300
+    assert kept > 0 and changed > 0
 
 
 def test_a_removed_leaf_has_no_label():
