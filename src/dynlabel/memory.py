@@ -19,30 +19,26 @@ Backups keep, for every child u of a node v, one copy of u's scheme
 memory: at v when u is an only child, else at u's next sibling in cyclic
 port order.  v also keeps a former only child's copy once a second
 child joins, until that child's memory next changes (``BackupStore``).
+Copies are immutable and carry their exact size, taken once when the
+copy is built; equal copies are shared, not rebuilt, so a node's memory
+adds up the sizes its copies carry and sizes its own fields in one pass
+(``SchemeCore.memory_bits``).
 """
 
 from __future__ import annotations
 
 from itertools import compress, count
+from operator import attrgetter, itemgetter
 
 
 class MemoryError_(RuntimeError):
     pass
 
 
-def int_bits(x: int) -> int:
-    return 1 + max(1, abs(x).bit_length())
-
-
 def counter_list_bits(xs: list) -> int:
-    """``int_bits`` summed over xs: a bit each, plus each magnitude's
-    bit length, a zero counting one."""
+    """The exact size of integer counters xs: per counter a bit, plus
+    its magnitude's bit length, a zero counting one."""
     return len(xs) + xs.count(0) + sum(map(int.bit_length, map(abs, xs)))
-
-
-def slot_list_bits(xs: list) -> int:
-    """A presence bit per slot, plus ``int_bits`` of each filled one."""
-    return len(xs) + counter_list_bits([x for x in xs if x is not None])
 
 
 # -- backup holder ----------------------------------------------------------
@@ -101,9 +97,9 @@ class DesignerBookkeeping:
         return self.engine.net.children[v][
             :self.engine.states[v].watermark[level]]
 
-    def memory_bits(self, v):
-        return counter_list_bits(
-            self.engine.states[v].watermark[1:self.engine.levels])
+    def memory_counters(self, v):
+        """v's bookkeeping counters and its number of slots (none)."""
+        return self.engine.states[v].watermark[1:self.engine.levels], 0
 
     def check(self, flag) -> list[str]:
         """Watermarks against the ground scopes at every node of
@@ -262,14 +258,16 @@ class AdversaryBookkeeping:
         ports = {states[order[i]].slot_table[level] for i in range(c)}
         return [net.child_at(v, p) for p in sorted(ports)]
 
-    def memory_bits(self, v):
+    def memory_counters(self, v):
+        """v's bookkeeping counters, its filled slots among them, and
+        its number of slots, filled or not."""
         st = self.engine.states[v]
         lv = self.engine.levels
-        n = counter_list_bits(st.scoped_count[1:lv])
-        n += slot_list_bits(st.slot_table[1:lv])
+        slots = st.slot_table[1:lv]
         if self.engine.deletions:
-            n += slot_list_bits(st.slot_backref[1:lv])
-        return n
+            slots += st.slot_backref[1:lv]
+        return (st.scoped_count[1:lv] + [x for x in slots if x is not None],
+                len(slots))
 
     def check(self, flag) -> list[str]:
         """Counts, tables and back-references against the ground scopes
@@ -362,25 +360,41 @@ def _scope_joins(order, ports, flag, levels) -> list:
 
 SNAPSHOT_FIELDS = ("tally", "ever_share", "watermark", "scoped_count",
                    "slot_table", "slot_backref")
+_KEYS = ("top_scope", *SNAPSHOT_FIELDS)
+_memory_of = attrgetter(*_KEYS)     # a node state's memory, as a tuple
+_value_of = itemgetter(*_KEYS)      # a copy's value, as the same tuple
 
 
-def take_snapshot(state) -> dict:
-    snap = {f: list(getattr(state, f)) for f in SNAPSHOT_FIELDS}
+class Snapshot(dict):
+    """A backup copy: ``top_scope`` and a copy of each list in
+    ``SNAPSHOT_FIELDS``, and in ``bits`` its exact size.  Never mutated
+    once built, so it can be shared."""
+
+    __slots__ = ("bits",)
+
+
+def take_snapshot(state) -> Snapshot:
+    """A new copy of state's memory, sized once: ``top_scope``, every
+    counter and every filled slot sized as ``counter_list_bits`` sizes
+    counters, plus a presence bit per slot."""
+    snap = Snapshot((f, list(getattr(state, f))) for f in SNAPSHOT_FIELDS)
     snap["top_scope"] = state.top_scope
+    slots = snap["slot_table"] + snap["slot_backref"]
+    snap.bits = len(slots) + counter_list_bits(
+        [state.top_scope, *snap["tally"], *snap["ever_share"],
+         *snap["watermark"], *snap["scoped_count"],
+         *[x for x in slots if x is not None]])
     return snap
 
 
-def snapshot_bits(snap) -> int:
-    n = int_bits(snap["top_scope"])
-    for f in ("tally", "ever_share", "watermark", "scoped_count"):
-        n += counter_list_bits(snap[f])
-    for f in ("slot_table", "slot_backref"):
-        n += slot_list_bits(snap[f])
-    return n
-
-
 class BackupStore:
-    """Copies of child scheme memories, each placed by ``_refresh``.
+    """Copies of child scheme memories, each placed by ``_place``.
+
+    Copies are never mutated, so one copy can sit at several holders: a
+    placement reuses a copy of the subject already held, or the copy
+    placed last, when its value equals the subject's memory, and builds
+    and sizes a new copy only otherwise.  A holder's copies add up to
+    the sizes they carry.
 
     A parent keeps its former only child's copy after a second child
     joins: the copy is current, but it counts toward the parent's memory
@@ -391,6 +405,7 @@ class BackupStore:
         self.engine = engine
         self.copies = {}        # holder -> {subject: snapshot}
         self.holders = {}       # subject -> the nodes holding its copy
+        self.last = None        # the copy placed last, of any subject
 
     def _erase(self, holder, subject):
         held = self.copies.get(holder)
@@ -408,10 +423,25 @@ class BackupStore:
             if held is not None:
                 held.pop(subject, None)
 
-    def _place(self, holder, subject):
+    def _copy(self, subject) -> Snapshot:
+        """A copy of subject's current memory: a copy of subject already
+        held, or the copy placed last, if its value equals that memory;
+        else a new one."""
+        st = self.engine.states[subject]
+        memory = _memory_of(st)
+        for holder in self.holders.get(subject, ()):    # at most two
+            own = self.copies[holder][subject]
+            if _value_of(own) == memory:
+                return own
+        last = self.last
+        if last is not None and _value_of(last) == memory:
+            return last
+        return take_snapshot(st)
+
+    def _place(self, holder, subject, snap):
         net = self.engine.net
-        snap = take_snapshot(self.engine.states[subject])
         self.copies.setdefault(holder, {})[subject] = snap
+        self.last = snap
         holders = self.holders.get(subject)
         if holders is None:
             self.holders[subject] = {holder}
@@ -426,6 +456,7 @@ class BackupStore:
         every other copy of subject goes.  A holder keeps at most two
         copies and a subject has at most two holders, so this costs O(1)
         whatever the parent's degree."""
+        snap = self._copy(subject)
         held = self.copies.get(holder)
         if held:
             parent_of = self.engine.net.parent
@@ -434,7 +465,7 @@ class BackupStore:
                 if s != subject and parent_of[s] == parent:
                     self._erase(holder, s)
         self._erase_all(subject)
-        self._place(holder, subject)
+        self._place(holder, subject, snap)
 
     def refresh(self, subject):
         """Re-place the copy after subject's memory changed."""
@@ -449,7 +480,8 @@ class BackupStore:
         order = net.children[parent]
         self._refresh(child, copy_holder(net, parent, child))
         if len(order) > 1:
-            self._place(child, order[order.index(child) - 1])
+            prev = order[order.index(child) - 1]
+            self._place(child, prev, self._copy(prev))
 
     def read_copy(self, parent, child) -> dict:
         """Fetch the copy of a child's memory: free at the parent, else
@@ -479,7 +511,8 @@ class BackupStore:
             self.holders[s].discard(child)
 
     def held_bits(self, holder) -> int:
-        return sum(snapshot_bits(s) for s in self.copies.get(holder, {}).values())
+        held = self.copies.get(holder)
+        return sum([s.bits for s in held.values()]) if held else 0
 
     def check(self) -> list[str]:
         """Every child's copy must sit at its parent or at its next

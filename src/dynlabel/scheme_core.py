@@ -35,7 +35,7 @@ from __future__ import annotations
 from . import bits
 from .functions import get_function
 from .memory import (AdversaryBookkeeping, BackupStore, DesignerBookkeeping,
-                     counter_list_bits, int_bits)
+                     counter_list_bits)
 from .simnet import InvalidEvent, PortAssignment
 from .static_schemes import DecodeError, scheme_for
 
@@ -365,7 +365,9 @@ class SchemeCore:
     def _flush_event(self) -> None:
         """Refresh the backup of every node the event changed, then its
         anchor row and label, and size its label and memory (with the
-        copies it now holds).
+        copies it now holds).  A refresh reuses an equal copy where it
+        can (see ``BackupStore``), and a held copy adds the size it
+        carries, so no copy is re-sized.
 
         A node's row is its own id up to its scope flag and its parent's
         row above.  Dirty nodes go in id order and ``Network.add_leaf``
@@ -417,13 +419,19 @@ class SchemeCore:
         return lab
 
     def memory_bits(self, v: int) -> int:
+        """v's memory in exact bits, sized in one pass: a scope flag per
+        level, a presence bit per bookkeeping slot, every counter (the
+        depth, the tallies, the ever-shares, the bookkeeping's counters
+        and filled slots, and the up port, if any) as
+        ``counter_list_bits`` sizes it, and the sizes its backup copies
+        carry."""
         st = self.states[v]
-        n = self.levels + int_bits(self.net.depth[v])
-        n += counter_list_bits(st.tally[1:])
-        n += counter_list_bits(st.ever_share[1:])
-        n += self.bookkeeping.memory_bits(v)
-        if v in self.net.up_port:
-            n += int_bits(self.net.up_port[v])
+        net = self.net
+        counters, slots = self.bookkeeping.memory_counters(v)
+        xs = [net.depth[v], *st.tally[1:], *st.ever_share[1:], *counters]
+        if v in net.up_port:
+            xs.append(net.up_port[v])
+        n = self.levels + slots + counter_list_bits(xs)
         if self.backups is not None:
             n += self.backups.held_bits(v)
         return n

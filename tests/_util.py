@@ -6,7 +6,7 @@ from dynlabel import Network, PortAssignment, bits, scheme_core
 from dynlabel.functions import outward
 from dynlabel.harness import (AUTO_EXHAUSTIVE_LIMIT, EXHAUSTIVE_HARD_CAP,
                               ExhaustiveCapError, Mismatch)
-from dynlabel.memory import BackupStore, take_snapshot
+from dynlabel.memory import BackupStore, counter_list_bits, take_snapshot
 from dynlabel.simnet import SimulationError
 from dynlabel.static_schemes import SEPARATOR, _charge_traversal
 
@@ -334,8 +334,9 @@ def ref_verify_step(runner, fn, mode, sample_size, rng, event_index, seed,
 
 class RefBackupStore(BackupStore):
     """``BackupStore`` placing copies as it did before it kept an index
-    of each subject's holders: a refresh erases the subject's copy at its
-    parent and at every sibling, O(degree) per refresh."""
+    of each subject's holders and shared equal copies: a refresh erases
+    the subject's copy at its parent and at every sibling, O(degree) per
+    refresh, and every placement builds a new copy."""
 
     def _erase(self, holder, subject):
         held = self.copies.get(holder)
@@ -379,6 +380,53 @@ class RefBackupStore(BackupStore):
         for x in (parent, *order):
             self._erase(x, child)
         self.copies.pop(child, None)
+
+
+# -- reference memory sizing -------------------------------------------------
+#
+# Memory sized as it was before backup copies carried their size and a
+# node's memory was sized in one pass: field by field, with every held
+# copy re-sized on every call.  Copies and ``SchemeCore.memory_bits``
+# must give what these give.
+
+
+def int_bits(x: int) -> int:
+    return 1 + max(1, abs(x).bit_length())
+
+
+def slot_list_bits(xs: list) -> int:
+    """A presence bit per slot, plus ``int_bits`` of each filled one."""
+    return len(xs) + counter_list_bits([x for x in xs if x is not None])
+
+
+def ref_snapshot_bits(snap) -> int:
+    n = int_bits(snap["top_scope"])
+    for f in ("tally", "ever_share", "watermark", "scoped_count"):
+        n += counter_list_bits(snap[f])
+    for f in ("slot_table", "slot_backref"):
+        n += slot_list_bits(snap[f])
+    return n
+
+
+def ref_memory_bits(core, v) -> int:
+    st = core.states[v]
+    lv = core.levels
+    n = core.levels + int_bits(core.net.depth[v])
+    n += counter_list_bits(st.tally[1:])
+    n += counter_list_bits(st.ever_share[1:])
+    if core.bookkeeping.kind == "designer":
+        n += counter_list_bits(st.watermark[1:lv])
+    else:
+        n += counter_list_bits(st.scoped_count[1:lv])
+        n += slot_list_bits(st.slot_table[1:lv])
+        if core.deletions:
+            n += slot_list_bits(st.slot_backref[1:lv])
+    if v in core.net.up_port:
+        n += int_bits(core.net.up_port[v])
+    if core.backups is not None:
+        n += sum(ref_snapshot_bits(s)
+                 for s in core.backups.copies.get(v, {}).values())
+    return n
 
 
 # -- reference messaging and separator marker -------------------------------

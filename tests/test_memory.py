@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -5,9 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from dynlabel import (DynamicScheme, FiniteScheme, IncreasingScheme, Network,
                       PortAssignment, QuotaFunction, budgets)
+from dynlabel.functions import FUNCTIONS
+from dynlabel.harness import (RunConfig, build_network, build_runner,
+                              generate_scenario, write_memory_report)
 from dynlabel.memory import MemoryError_, copy_holder
 
-from _util import RefBackupStore, grow_random, ports_at
+from _util import (RefBackupStore, grow_random, int_bits, ports_at,
+                   ref_memory_bits, ref_snapshot_bits)
 
 
 def test_fresh_leaf_has_zero_watermarks_and_parent_at_port_one():
@@ -243,9 +248,11 @@ BACKUP_STREAMS = st.lists(st.tuples(st.sampled_from("AAARR"),
        seed=st.integers(0, 1000), events=BACKUP_STREAMS)
 def test_backup_copies_match_the_erase_everywhere_reference(assignment, seed,
                                                             events):
-    """Erasing a subject's copies only at its indexed holders leaves
-    every holder's copies what erasing at the parent and every sibling
-    left, after every event."""
+    """Erasing a subject's copies only at its indexed holders, and
+    sharing equal copies, leaves every holder's copies and every message
+    what erasing at the parent and every sibling and building each copy
+    anew left, after every event; and a copy keeps its value and its
+    size while any node holds it."""
     runs = []
     for store in (None, RefBackupStore):
         net = Network(assignment=assignment, rng=random.Random(seed))
@@ -254,6 +261,7 @@ def test_backup_copies_match_the_erase_everywhere_reference(assignment, seed,
             s.core.backups = store(s.core)
         runs.append((net, s))
     (net, s), (ref_net, ref) = runs
+    seen = {}       # id -> (copy, its value and size when first seen)
     for kind, i, at_root in events:
         leaves = [v for v in net.alive_list if v != 0 and net.is_leaf(v)]
         if kind == "R" and leaves:
@@ -267,6 +275,14 @@ def test_backup_copies_match_the_erase_everywhere_reference(assignment, seed,
         copies = s.core.backups.copies
         assert copies == ref.core.backups.copies
         assert net.ledger.by_category == ref_net.ledger.by_category
+        for held in copies.values():
+            for snap in held.values():
+                # seen keeps every copy alive, so no id is reused
+                if id(snap) not in seen:
+                    seen[id(snap)] = (snap, copy.deepcopy(dict(snap)),
+                                      snap.bits)
+                _, value, bits = seen[id(snap)]
+                assert snap == value and snap.bits == bits
         held_by = {}
         for h, held in copies.items():
             for u in held:
@@ -275,6 +291,67 @@ def test_backup_copies_match_the_erase_everywhere_reference(assignment, seed,
         assert {u: hs for u, hs in holders.items() if hs} == held_by
         assert all(len(hs) <= 2 for hs in holders.values())
     assert s.core.backups.check() == []
+
+
+@pytest.mark.parametrize("assignment", [PortAssignment.COMPACT,
+                                        PortAssignment.ADVERSARY])
+def test_refreshing_an_unchanged_memory_keeps_its_copy(assignment):
+    """A refresh of a child whose memory did not change places the copy
+    it already had, not a new one."""
+    rng = random.Random(17)
+    net = Network(assignment=assignment, rng=random.Random(18))
+    s = DynamicScheme(net, "distance", QuotaFunction.parse("pow:0.5"))
+    grow_random(s, net, rng, 200)
+    store = s.core.backups
+    for u in net.alive_list:
+        if u == net.root:
+            continue
+        kept = {id(held[u]) for held in store.copies.values() if u in held}
+        assert len(kept) == 1
+        store.refresh(u)
+        h = copy_holder(net, net.parent[u], u)
+        assert id(store.copies[h][u]) in kept
+    assert store.check() == []
+
+
+def _stream(function, model, port_model, seed=5):
+    """The runner after every event of a 300-event stream."""
+    config = RunConfig(seed=seed, events=300, model=model,
+                       port_model=port_model, function=function,
+                       p_delete=0.3 if model == "dynamic" else 0.0)
+    net = build_network(config)
+    runner = build_runner(config, net)
+    for ev in generate_scenario(config.seed, config.events, config.p_delete):
+        runner.apply(ev)
+        yield runner
+
+
+@pytest.mark.parametrize("port_model", ["designer", "adversary"])
+@pytest.mark.parametrize("function", sorted(FUNCTIONS))
+def test_every_held_copy_carries_its_per_field_size(function, port_model):
+    for runner in _stream(function, "dynamic", port_model):
+        store = runner.core.backups
+        for h, held in store.copies.items():
+            sizes = [ref_snapshot_bits(snap) for snap in held.values()]
+            assert [snap.bits for snap in held.values()] == sizes
+            assert store.held_bits(h) == sum(sizes)
+
+
+@pytest.mark.parametrize("port_model", ["designer", "adversary"])
+@pytest.mark.parametrize("model", ["increasing", "dynamic"])
+@pytest.mark.parametrize("function", sorted(FUNCTIONS))
+def test_memory_bits_match_the_per_field_reference(function, model,
+                                                   port_model, tmp_path):
+    for runner in _stream(function, model, port_model):
+        core = runner.core
+        nodes = core.net.alive_list
+        assert ([core.memory_bits(v) for v in nodes]
+                == [ref_memory_bits(core, v) for v in nodes])
+    out = tmp_path / "mem.csv"
+    write_memory_report(out, runner)
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert {int(v): int(bits) for v, _, bits, _ in rows} == {
+        v: ref_memory_bits(core, v) for v in core.net.alive_list}
 
 
 def test_missing_backup_copy_is_an_error():
@@ -295,7 +372,6 @@ def _dynamic_with(n):
 
 
 def test_memory_bits_of_fresh_leaf():
-    from dynlabel.memory import int_bits
     net = Network()
     s = FiniteScheme(net, "distance", quota=4, levels=3)
     leaf = s.add_leaf(0)
