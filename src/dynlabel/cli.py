@@ -15,7 +15,9 @@ import os
 import sys
 
 from .dynamic import QuotaFunction
-from .harness import RunConfig, generate_scenario, run
+from .functions import FUNCTIONS
+from .harness import (INVARIANT_MODES, MODELS, PORT_MODELS, RunConfig,
+                      generate_scenario, run)
 from .simnet import DEFAULT_PORT_CAP, format_scenario, parse_scenario
 
 
@@ -58,13 +60,10 @@ def _build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--events", type=int, default=100)
     p.add_argument("--pdelete", type=float, default=0.0)
-    p.add_argument("--model", choices=["increasing", "dynamic"],
-                   default="increasing")
-    p.add_argument("--ports", dest="port_model",
-                   choices=["designer", "adversary"], default="designer")
-    p.add_argument("--function",
-                   choices=["ancestry", "distance", "seplevel", "routing"],
-                   default="distance")
+    p.add_argument("--model", choices=MODELS, default="increasing")
+    p.add_argument("--ports", dest="port_model", choices=PORT_MODELS,
+                   default="designer")
+    p.add_argument("--function", choices=FUNCTIONS, default="distance")
     p.add_argument("--kfn", type=_quota_rule, default="pow:0.5",
                    help="quota rule: pow:E (E in [0, 1]) | logpow:E "
                         "(E in [0, 16]) | const:K")
@@ -72,8 +71,7 @@ def _build_parser():
                    help="change tracker driving restarts")
     p.add_argument("--verify", default="sampled:64",
                    help="exhaustive | sampled:<m> | off")
-    p.add_argument("--invariants", choices=["every-event", "final", "off"],
-                   default="final")
+    p.add_argument("--invariants", choices=INVARIANT_MODES, default="final")
     p.add_argument("--no-bounds", action="store_true",
                    help="skip budget-curve checks")
     p.add_argument("--port-cap", type=int, default=DEFAULT_PORT_CAP)

@@ -252,9 +252,7 @@ class PhasedScheme(_CoreDriver):
     def _restart(self) -> None:
         n0 = self._measure_tree()
         params = compute_phase_params(n0, self.quota_fn)
-        self.core.quota = params.quota
-        self.core.levels = params.levels
-        self.core.install_on_tree()
+        self.core.install_on_tree(params.quota, params.levels)
         self.tracker.restart_baseline(n0)
         self.restart_log.append((self.event_index, n0))
 

@@ -28,6 +28,11 @@ from .static_schemes import DecodeError
 EXHAUSTIVE_HARD_CAP = 128
 AUTO_EXHAUSTIVE_LIMIT = 64
 
+# RunConfig's option vocabularies (functions: ``functions.FUNCTIONS``).
+MODELS = ("increasing", "dynamic")
+PORT_MODELS = ("designer", "adversary")
+INVARIANT_MODES = ("every-event", "final", "off")
+
 
 class ExhaustiveCapError(ValueError):
     """Exhaustive verification asked of a tree above the hard cap."""
@@ -48,13 +53,13 @@ class RunConfig:
     seed: int = 0
     events: int = 100
     p_delete: float = 0.0
-    model: str = "increasing"          # increasing | dynamic
-    port_model: str = "designer"       # designer | adversary
+    model: str = "increasing"          # one of MODELS
+    port_model: str = "designer"       # one of PORT_MODELS
     function: str = "distance"
     quota_fn: str = "pow:0.5"
     tracker: str = "exact"
     verify: str = "sampled:64"         # exhaustive | sampled:<m> | off
-    invariants: str = "final"          # every-event | final | off
+    invariants: str = "final"          # one of INVARIANT_MODES
     bounds: bool = True
     port_cap: int = DEFAULT_PORT_CAP
     scenario_path: str | None = None
@@ -62,15 +67,15 @@ class RunConfig:
     mem_out_path: str | None = None
 
     def __post_init__(self):
-        if self.model not in ("increasing", "dynamic"):
+        if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}")
-        if self.port_model not in ("designer", "adversary"):
+        if self.port_model not in PORT_MODELS:
             raise ValueError(f"unknown port model {self.port_model!r}")
         get_function(self.function)
         if self.model == "increasing" and self.p_delete != 0:
             raise ValueError("the leaf-increasing model forbids deletions")
         _check_scenario_params(self.events, self.p_delete)
-        if self.invariants not in ("every-event", "final", "off"):
+        if self.invariants not in INVARIANT_MODES:
             raise ValueError(f"unknown invariant mode {self.invariants!r}")
         if self.port_cap < 0:
             raise ValueError("the port cap must be nonnegative")
@@ -382,7 +387,7 @@ class _BoundTracker:
             spent = ledger.protocol_messages() - self.epoch_base_messages
             allowed = budgets.finite_run_message_budget(
                 self.runner.quota, self.runner.levels,
-                budgets.marker_message_budget(ever))
+                self.pi.mc_budget(ever))
             if spent > allowed:
                 report.bound_violations.append(
                     f"event {event_index}: protocol messages {spent} exceed "

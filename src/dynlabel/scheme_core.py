@@ -77,10 +77,7 @@ class SchemeCore:
 
     def __init__(self, net, function: str, *, quota: int, levels: int,
                  deletions: bool = False, verify_scopes: bool = False):
-        if quota < 2:
-            raise SchemeError("reset quota must exceed 1")
-        if levels < 1:
-            raise SchemeError("need at least one level")
+        self._set_phase(quota, levels)
         self.net = net
         self.fn = get_function(function)
         self.pi = scheme_for(function)
@@ -88,8 +85,6 @@ class SchemeCore:
         if function == "routing" and compact:
             raise SchemeError("routing labels pin port numbers; the network "
                               "must use stable or adversary ports")
-        self.quota = quota
-        self.levels = levels
         self.deletions = deletions
         self.verify_scopes = verify_scopes
         self.states: dict[int, NodeState] = {}
@@ -112,6 +107,13 @@ class SchemeCore:
 
     # -- installation ---------------------------------------------------
 
+    def _set_phase(self, quota: int, levels: int) -> None:
+        if quota < 2:
+            raise SchemeError("reset quota must exceed 1")
+        if levels < 1:
+            raise SchemeError("need at least one level")
+        self.quota, self.levels = quota, levels
+
     def install_fresh(self) -> None:
         """Start on a single-node tree; labels installed without a
         counted reset so the root is queryable from the start.  Only
@@ -121,44 +123,33 @@ class SchemeCore:
         if net.alive_count != 1:
             raise SchemeError("fresh install requires a singleton tree")
         root = net.root
-        labels = self.pi.marker(net, root, {root: []})
-        self._fresh_states(labels)
-        self.last_reset_labels = labels
-        self.last_reset_count = 1
+        self._fresh_states(self.pi.marker(net, root, {root: []}))
         self._flush_event()
         net.on_add(self._joined)
         net.on_remove(self._leaving)
 
-    def install_on_tree(self) -> None:
-        """Start (or restart) on the current multi-node tree: one counted
-        whole-tree reset, then every node roots fresh lower scopes."""
-        net = self.net
-        root = net.root
-        scope = self._collect_scope(self.levels, root)
-        labels = self.pi.marker(net, root, scope)
-        self._fresh_states(labels)
-        count = self._count_scope(root, scope, self.levels)
-        rst = self.states[root]
-        rst.tally[self.levels] = 1
-        rst.ever_count[self.levels] = count
-        self.bookkeeping.on_whole_tree_reset(scope)
-        net.ledger.reset_count += 1
-        self.last_reset_labels = labels
-        self.last_reset_count = count
+    def install_on_tree(self, quota: int, levels: int) -> None:
+        """Start (or restart) on the current multi-node tree with these
+        phase parameters: fresh memory at every node, then one counted
+        whole-tree ``_reset``, which opens the top level's tally."""
+        self._set_phase(quota, levels)
+        self._fresh_states(dict.fromkeys(self.net.alive_list))
+        self._reset(levels, self.net.root)
+        rst = self.states[self.net.root]
+        rst.tally[levels] = 1
+        rst.ever_count[levels] = self.last_reset_count
         self.finished = False
         self._flush_event()
 
     def transition(self, quota: int, levels: int) -> None:
         """Swap phase parameters in place, reusing the labels of the
         whole-tree reset that just completed."""
-        if quota < 2:
-            raise SchemeError("reset quota must exceed 1")
         labels = self.last_reset_labels
         states = self.states
         old_levels = self.levels
         carry = [states[v].ever_share[old_levels] for v in labels]
         carry_total = states[self.net.root].ever_count[old_levels]
-        self.quota, self.levels = quota, levels
+        self._set_phase(quota, levels)
         self._fresh_states(labels)
         for v, share in zip(labels, carry):
             states[v].ever_share[levels] = share
@@ -168,22 +159,18 @@ class SchemeCore:
         self.finished = False
 
     def _fresh_states(self, labels) -> None:
-        """New memory for every member of a whole-tree reset (the keys
-        of its ``labels``), broadcast from the root: each member roots
-        every scope below the top (the root every scope), counts once at
-        every level and holds its new static label at every level."""
-        net, levels = self.net, self.levels
-        self_value = self.fn.self_value
+        """New memory for every member (the keys of ``labels``, each
+        mapped to its static label, or to None when a ``_reset`` follows),
+        broadcast from the root: the root roots every level, and every
+        member counts once and roots fresh scopes below the top."""
+        levels = self.levels
         for v, lab in labels.items():
             st = NodeState(levels)
-            st.top_scope = levels if v == net.root else levels - 1
-            st.ever_count[1:] = [1] * levels
+            st.ever_count[levels] = 1
             st.statics[1:] = [lab] * levels
-            st.links[2:] = [self_value(net, v)] * (levels - 1)
             self.states[v] = st
-        if len(labels) > 1:
-            net.ledger.count("broadcast", len(labels) - 1)
-        self._dirty.update(labels)
+        self.states[self.net.root].top_scope = levels
+        self._seed_fresh_scopes(labels, levels)
 
     # -- event entry points ----------------------------------------------
 
@@ -253,31 +240,31 @@ class SchemeCore:
                     self._seed_fresh_scopes(scope, level)
                 return
             if level == self.levels:
-                self._top_finished()
+                self.finished = True
+                if self.on_finished is not None:
+                    self.on_finished(self.last_reset_count)
                 return
             nxt = anchors[level + 1]
             net.charge_path(root, nxt, "signal")
             level, root = level + 1, nxt
             scope = self._reset(level, root)
 
-    def _top_finished(self) -> None:
-        self.finished = True
-        if self.on_finished is not None:
-            self.on_finished(self.last_reset_count)
-
     def _reset(self, level: int, root: int):
         """Count and relabel one decomposition subtree; returns its
-        scope map."""
-        net = self.net
-        if self.states[root].top_scope < level:
+        scope map.  A restart is the top-level reset over fresh memory
+        (``install_on_tree``), so every reset is counted here."""
+        net, states = self.net, self.states
+        if states[root].top_scope < level:
             raise SchemeError(f"reset target {root} is not a level-{level} scope root")
         scope = self._collect_scope(level, root)
-        count = self._count_scope(root, scope, level)
+        count = net.broadcast_convergecast(
+            root, scope, lambda w: states[w].ever_share[level],
+            category="reset_count")
         labels = self.pi.marker(net, root, scope)
         if len(set(labels.values())) != len(labels):
             raise SchemeError("marker produced duplicate labels")
         for w, lab in labels.items():
-            st = self.states[w]
+            st = states[w]
             for l in range(1, level + 1):
                 st.statics[l] = lab
             for l in range(1, level):
@@ -291,12 +278,6 @@ class SchemeCore:
         self.last_reset_count = count
         self._dirty.update(scope)
         return scope
-
-    def _count_scope(self, root, scope, level) -> int:
-        """The members' ever-shares summed: 1 each without deletions."""
-        return self.net.broadcast_convergecast(
-            root, scope, lambda w: self.states[w].ever_share[level],
-            category="reset_count")
 
     def _seed_fresh_scopes(self, members, level: int) -> None:
         """Every member becomes the root of fresh scopes below `level`."""
@@ -481,8 +462,8 @@ class SchemeCore:
         out = net.check_tree_shape(flag) + net.check_ports(flag)
         if self.finished:
             # terminal state: the final whole-tree reset has cleared the
-            # per-level bookkeeping and nothing re-seeds the scopes
-            return out + violations
+            # per-level bookkeeping, so only the flags' nesting is checked
+            return out + closure + violations
         if states[root].top_scope != levels:
             out.append("root is not a top-level scope root")
         out.extend(self._ever_share_faults(flag))

@@ -7,7 +7,8 @@ synchronously; event notifications themselves cost no messages.  Every
 hop to a tree neighbour is charged one message: ``send`` charges one
 hop, and a relay (``charge_path``) or a convergecast
 (``broadcast_convergecast``) charges all of its hops in one ledger
-entry.
+entry.  Every hop is checked by the hop rule (``_hop``) but a
+convergecast's return up an edge it has just crossed down.
 
 A port number belongs to one end of a tree edge.  Stored ports are
 keyed by the edge's child end c: ``up_port[c]`` is the port at c toward
@@ -330,10 +331,12 @@ class Network:
         ``aggregate(node)`` yields each member's contribution, and the
         sum over the members reached from ``subtree_root`` is returned.
 
-        Every crossing, down and then up each scope edge, is checked as
-        ``send`` checks it; the traversal's crossings, 2*(m-1) for the m
-        members reached, are charged as one ledger entry when it ends,
-        also when a hop or ``aggregate`` raises (none for no crossings).
+        Each scope edge is crossed down and back up; the down crossing
+        is checked as ``send`` checks it, and the up crossing, retracing
+        an edge just found alive and adjacent, cannot fail.  The
+        traversal's crossings, 2*(m-1) for the m members reached, are
+        charged as one ledger entry when it ends, also when a hop or
+        ``aggregate`` raises (none for no crossings).
         """
         if not self.is_alive(subtree_root):
             raise SimulationError(f"subtree root {subtree_root} not alive")
@@ -345,10 +348,8 @@ class Network:
             while stack:
                 v = stack.pop()
                 for c in scope[v]:
-                    hop(v, c)                  # down
-                    crossings += 1
-                    hop(c, v)                  # up
-                    crossings += 1
+                    hop(v, c)                  # down, then back up
+                    crossings += 2
                     total += aggregate(c)
                     stack.append(c)
         finally:

@@ -542,6 +542,19 @@ def test_label_bound_is_checked_on_a_restart_event(monkeypatch):
         f"event {r.restarts[0][0]}: label bits 1000000 exceed budget")
 
 
+def test_message_bound_reads_the_running_schemes_curve(monkeypatch):
+    """The epoch's message budget takes MC(pi, n) from the running
+    static scheme, so a scheme declaring a tighter curve is held to it.
+    A leaf-increasing run has one long epoch; the restarts of a short
+    leaf-dynamic stream keep each epoch too short to trip even MC = 1."""
+    tight = dataclasses.replace(static_schemes.SCHEMES["distance"],
+                                mc_budget=lambda n: 1)
+    monkeypatch.setitem(static_schemes.SCHEMES, "distance", tight)
+    r = run(RunConfig(seed=1, events=300, function="distance", verify="off"))
+    assert [m for m in r.bound_violations
+            if "protocol messages" in m and "exceed budget" in m]
+
+
 @pytest.mark.parametrize("seed,events", [(0, 59), (1, 124), (0, 1)])
 def test_memory_bound_counts_the_levels_of_a_final_restart(monkeypatch, seed,
                                                           events):

@@ -1,0 +1,56 @@
+"""A gallery of mutants that ``harness.run`` must kill.
+
+Each mutant monkeypatches one seam of the program.  Its config must
+pass unmutated, and must fail once the mutant is in, through the check
+the mutant is aimed at.
+"""
+
+import pytest
+
+from dynlabel import RunConfig, run
+from dynlabel.memory import AdversaryBookkeeping, DesignerBookkeeping
+from dynlabel.scheme_core import SchemeCore
+
+
+def _killed(monkeypatch, config, owner, attr, mutant):
+    """The report of ``config`` with ``owner.attr`` replaced by
+    ``mutant``, after checking that the config passes without it."""
+    assert run(config).passed()
+    monkeypatch.setattr(owner, attr, mutant)
+    r = run(config)
+    assert not r.passed()
+    return r
+
+
+@pytest.mark.parametrize("port_model", ["designer", "adversary"])
+def test_inflated_memory_breaks_the_memory_budget(monkeypatch, port_model):
+    def memory_bits(core, v, _memory_bits=SchemeCore.memory_bits):
+        return 10 * _memory_bits(core, v)
+
+    config = RunConfig(seed=2, events=150, model="dynamic", p_delete=0.3,
+                       port_model=port_model, verify="off")
+    r = _killed(monkeypatch, config, SchemeCore, "memory_bits", memory_bits)
+    assert [m for m in r.bound_violations if m.startswith("memory bits ")]
+
+
+@pytest.mark.parametrize("owner,field", [(DesignerBookkeeping, "watermark"),
+                                         (AdversaryBookkeeping,
+                                          "scoped_count")])
+def test_corrupt_bookkeeping_is_reported_at_its_event(monkeypatch, owner,
+                                                      field):
+    """One hook call, late enough for a level below the top, takes the
+    new child out of its parent's level-1 count; the every-event scan
+    reports it at that event."""
+    calls = []
+
+    def on_leaf_added(book, parent, child, _hook=owner.on_leaf_added):
+        _hook(book, parent, child)
+        calls.append(child)
+        if len(calls) == 40:
+            getattr(book.engine.states[parent], field)[1] -= 1
+
+    port_model = "designer" if owner is DesignerBookkeeping else "adversary"
+    config = RunConfig(seed=3, events=60, port_model=port_model,
+                       invariants="every-event", verify="off")
+    r = _killed(monkeypatch, config, owner, "on_leaf_added", on_leaf_added)
+    assert r.invariant_violations[0].startswith(f"event 40: {owner.kind} ")

@@ -290,6 +290,22 @@ def test_scope_query_violation_is_reported_by_a_finished_scheme():
     assert s.scan_invariants() == []
 
 
+def test_closure_fault_is_reported_by_a_finished_scheme():
+    """A finished scheme skips the per-level checks, but a child flagged
+    above its parent still breaks the descendant closure."""
+    net = Network()
+    s = FiniteScheme(net, "distance", quota=2, levels=2)
+    a = s.add_leaf(0)
+    while not s.finished:
+        b = s.add_leaf(a)
+    assert s.scan_invariants() == []
+    t = s.core.states[a].top_scope
+    assert t < s.core.levels
+    s.core.states[b].top_scope = t + 1
+    assert s.scan_invariants() == [
+        f"descendant closure broken at {a}->{b} level {t + 1}"]
+
+
 def test_corpus_messages_match_the_recorded_ones():
     """The recorded file holds the scan's messages on the corpus of
     ``_corpus.py``; a change to the scan may not add, drop or reword any
