@@ -72,10 +72,10 @@ class DesignerBookkeeping:
     def on_reset(self, scope, level):
         if level <= 1:
             return
+        states = self.engine.states
+        zeros = [0] * (level - 1)
         for w in scope:
-            st = self.engine.states[w]
-            for l in range(1, level):
-                st.watermark[l] = 0
+            states[w].watermark[1:level] = zeros
 
     def on_whole_tree_reset(self, scope):
         """Top-level reset: normalize ports (parent gets the degree) and
@@ -249,14 +249,27 @@ class AdversaryBookkeeping:
             self._write(touched)
 
     def children_in_scope(self, v, level):
-        # the first count children's slots name the ports; a round trip each
+        """v's children in its level-``level`` scope: the first count
+        children's slots name their ports, a round trip each.  A count
+        that the filled slots do not fit, or a slot naming no child, is
+        a memory fault."""
         net = self.engine.net
         states = self.engine.states
         order = net.children[v]
         c = states[v].scoped_count[level]
         net.ledger.count("membook", 2 * c)
-        ports = {states[order[i]].slot_table[level] for i in range(c)}
-        return [net.child_at(v, p) for p in sorted(ports)]
+        ports = {states[u].slot_table[level] for u in order[:c]}
+        if not 0 <= c <= len(order) or None in ports:
+            filled = sum(states[u].slot_table[level] is not None
+                         for u in order)
+            raise MemoryError_(f"scoped count {c} at node {v} level "
+                               f"{level} does not fit its {filled} filled "
+                               f"slots")
+        kids = [net.child_at(v, p) for p in sorted(ports)]
+        if None in kids:
+            raise MemoryError_(f"a level-{level} slot at node {v} names a "
+                               f"port in {sorted(ports)} that no child holds")
+        return kids
 
     def memory_counters(self, v):
         """v's bookkeeping counters, its filled slots among them, and

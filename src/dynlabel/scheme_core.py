@@ -263,12 +263,11 @@ class SchemeCore:
         labels = self.pi.marker(net, root, scope)
         if len(set(labels.values())) != len(labels):
             raise SchemeError("marker produced duplicate labels")
+        ones = [1] * (level - 1)
         for w, lab in labels.items():
             st = states[w]
-            for l in range(1, level + 1):
-                st.statics[l] = lab
-            for l in range(1, level):
-                st.ever_share[l] = 1
+            st.statics[1:level + 1] = [lab] * level
+            st.ever_share[1:level] = ones
         if level == self.levels:
             self.bookkeeping.on_whole_tree_reset(scope)
         else:
@@ -281,25 +280,26 @@ class SchemeCore:
 
     def _seed_fresh_scopes(self, members, level: int) -> None:
         """Every member becomes the root of fresh scopes below `level`."""
-        net = self.net
+        net, states = self.net, self.states
         self_value = self.fn.self_value
         if len(members) > 1:
             net.ledger.count("broadcast", len(members) - 1)
+        zeros, ones = [0] * (level - 1), [1] * (level - 1)
         for w in members:
-            st = self.states[w]
+            st = states[w]
             if st.top_scope < level - 1:
                 st.top_scope = level - 1
-            for l in range(1, level):
-                st.tally[l] = 0
-                st.ever_count[l] = 1
+            st.tally[1:level] = zeros
+            st.ever_count[1:level] = ones
             st.links[2:level + 1] = [self_value(net, w)] * (level - 1)
         self._dirty.update(members)
 
     def _collect_scope(self, level: int, root: int) -> dict:
         """The scope map of the level-`level` subtree at `root`: each
-        member, root first, mapped to its in-scope children in port
-        order.  Below the top level the port bookkeeping names them; the
-        top level holds every child."""
+        member mapped to its in-scope children in port order, listed
+        parents first (a walk from root), as markers require.  Below the
+        top level the port bookkeeping names them; the top level holds
+        every child."""
         top = level == self.levels
         scope = {}
         stack = [root]
@@ -362,16 +362,21 @@ class SchemeCore:
         dirty = sorted(filter(net.is_alive, self._dirty))
         self._dirty.clear()
         if self.backups is not None:
+            refresh, root = self.backups.refresh, net.root
             for x in dirty:
-                if x != net.root:
-                    self.backups.refresh(x)
+                if x != root:
+                    refresh(x)
         fn, ledger, labels = self.fn, net.ledger, self.labels
+        refresh_label, memory_bits = self._refresh_label, self.memory_bits
+        note_label = ledger.note_label_bits
+        note_memory = ledger.note_memory_bits
+        stored = labels.get
         for x in dirty:
-            lab = self._refresh_label(x)
-            if lab != labels.get(x):
+            lab = refresh_label(x)
+            if lab != stored(x):
                 labels[x] = lab
-                ledger.note_label_bits(dynamic_label_bits(fn, lab))
-            ledger.note_memory_bits(self.memory_bits(x))
+                note_label(dynamic_label_bits(fn, lab))
+            note_memory(memory_bits(x))
 
     def _refresh_label(self, x: int):
         """Rebuild and store x's anchor row from its parent's, and

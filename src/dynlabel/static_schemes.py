@@ -1,22 +1,29 @@
 """Static labeling schemes run as root-coordinated marker protocols.
 
 A marker labels every member of a connected subtree in one invocation.
-It takes the subtree as a scope map: each member, root first, mapped to
-its children inside the subtree in port order.  The invocation is
-charged as a traversal that crosses each subtree edge once in each
-direction (2*(m-1) messages for m members).  Decoders are pure
-functions of two labels from the same invocation.
+It takes the subtree as a scope map: each member mapped to its children
+inside the subtree in port order, listed parents first (the root first,
+every other member after its parent), as ``SchemeCore._collect_scope``
+and ``install_fresh`` build it.  The invocation is charged as a
+traversal that crosses each subtree edge once in each direction
+(2*(m-1) messages for m members).  Decoders are pure functions of two
+labels from the same invocation.
 
 A label is the tuple of its wire fields, in the order its scheme's
 ``layout`` declares them, followed by its exact bit count, which the
-marker sets once when it builds the label (``bits.sized``).
+marker sets once when it builds the label: through ``bits.sized``, or,
+in the separator marker, as a running size that gains each field's bits
+by the codec's rule as the field is filled.
 
 Each marker walks its scope once per job: the interval and routing
 markers share one preorder (``_preorder``) and the subtree sizes read
-off it (``_sizes``), and the separator marker walks each component of
-its decomposition once, out of the component's centroid: that walk
-gives the members their distances and each remaining part the order
-and walk parents from which the part's own centroid is found.
+off it (``_sizes``).  The separator marker pays one pass per component
+of its decomposition: the root's component is read off the scope map
+itself, and every other part is walked once, out of the centroid that
+split it off.  That walk appends each member's (separator, distance)
+entry and adds the entry's bits to the member's running size, and gives
+the part the order and walk parents from which its own centroid is
+found.
 
 Schemes provided:
 
@@ -112,63 +119,86 @@ def dfs_interval_decode(lu, lv):
 
 # uid, depth, one (separator uid, distance) pair per decomposition level
 SEPARATOR = (bits.UINT, bits.UINT, bits.PAIRS)
+_uint_bits = bits.UINT.size
 
 
 def separator_marker(net, root, scope):
     """Recursive centroid decomposition; labels carry one (separator,
-    distance) entry per level plus the node's depth in the whole tree;
-    one walk per component, out of its centroid."""
+    distance) entry per level plus the node's depth in the whole tree.
+
+    Each component costs one pass.  The root's is read off the scope
+    map, which lists parents first; every other part is walked once, out
+    of the centroid that split it off, and the walk appends each member's
+    entry and adds the entry's bits to the member's running size.  A
+    member's label is built when it becomes a centroid, as its entries
+    are then complete; a part of one member is its own centroid."""
     _charge_traversal(net, root, scope)
+    parent, depth = net.parent, net.depth
     # the traversal reached every member but the root from its parent
-    nbrs = {v: kids if v == root else kids + [net.parent[v]]
+    nbrs = {v: kids if v == root else kids + [parent[v]]
             for v, kids in scope.items()}
     uid = {v: i for i, v in enumerate(sorted(scope))}
     entries = {v: [] for v in scope}
+    size = dict.fromkeys(scope, 0)          # bits of the entries so far
+    labels = dict.fromkeys(scope)
     removed = set()
-    order, up, _ = _walk(root, None, nbrs, removed)
-    work = [(order, up)]
+    at = {v: j for j, v in enumerate(scope)}
+    work = [(list(scope), [at.get(parent[v], -1) for v in scope])]
     while work:
-        c = _centroid(*work.pop())
+        order, up = work.pop()
+        c = order[0] if len(order) == 1 else _centroid(order, up)
         removed.add(c)
         sep = uid[c]
-        entries[c].append((sep, 0))
+        sep_bits = _uint_bits(sep)
+        e = entries[c]
+        e.append((sep, 0))
+        # sized field by field: uid, depth, the entry count, then the
+        # entries walked so far and this last one, (sep, 0)
+        labels[c] = (sep, depth[c], tuple(e),
+                     sep_bits + _uint_bits(depth[c]) + _uint_bits(len(e))
+                     + size[c] + sep_bits + 1)
         # every neighbour not removed roots one part of the component
         for w in nbrs[c]:
             if w not in removed:
-                order, up, dist = _walk(w, c, nbrs, removed)
-                for v, d in zip(order, dist):
-                    entries[v].append((sep, d))
-                work.append((order, up))
-    return {v: bits.sized(SEPARATOR, (uid[v], net.depth[v], tuple(entries[v])))
-            for v in scope}
+                work.append(_walk(w, c, nbrs, removed, sep, sep_bits,
+                                  entries, size))
+    return labels
 
 
-def _walk(start, frm, nbrs, removed):
+def _walk(start, frm, nbrs, removed, sep, sep_bits, entries, size):
     """One DFS over start's part: the members not removed that it
-    reaches without crossing frm.  Returns the part in walk order
-    (parents first), each member's walk parent as a position in that
-    order (-1 for start) and its distance from frm, start's being 1."""
-    order, up, dist = [], [], []
+    reaches without crossing frm, the separator, whose id ``sep`` takes
+    ``sep_bits`` bits.  Visiting a member appends its entry (sep, its
+    distance from frm, start's being 1) and adds the entry's bits to its
+    running size.  Returns the part in walk order (parents first) and
+    each member's walk parent as a position in that order (-1 for
+    start)."""
+    order, up = [], []
     stack = [(start, frm, -1, 1)]
     while stack:
         v, p, i, d = stack.pop()
         j = len(order)
         order.append(v)
         up.append(i)
-        dist.append(d)
+        entries[v].append((sep, d))
+        size[v] += sep_bits + _uint_bits(d)
         d += 1
         for w in nbrs[v]:
             if w != p and w not in removed:
                 stack.append((w, v, j, d))
-    return order, up, dist
+    return order, up
 
 
 def _centroid(order, up):
-    """The member of a walked part whose removal leaves the smallest
-    largest part, ties to smallest id.  A tree has one such member, or
-    two joined by an edge that halves it (Jordan), and the walk from
-    its start toward the larger half ends at one of them; the parts do
-    not depend on where the walk started, so neither does the result."""
+    """The member of a part whose removal leaves the smallest largest
+    part, ties to smallest id.  ``order`` lists the part parents first
+    (a walk, or the root's component as the scope map lists it) and
+    ``up`` holds each member's parent as a position in it (-1 for the
+    first).  A tree has one such member, or two joined by an edge that
+    halves it (Jordan), and the descent from the first member toward
+    the larger half ends at one of them; the parts do not depend on
+    which member is first or on the order, so neither does the
+    result."""
     m = len(order)
     size = [1] * m
     big = [0] * m                           # largest child part

@@ -432,8 +432,9 @@ def test_costs_are_the_tree_identities(monkeypatch, model, assignment, seed,
     reset of m members charges 2(m-1) ``reset_count`` and 2(m-1)
     ``marker``; a relay, its two ends' depth difference; a restart on n0
     nodes 2(n0-1) ``watch`` for its measurement, 2(n0-1) ``reset_count``
-    and ``marker``, and n0-1 ``broadcast``."""
-    got, want, levels = [], [], set()
+    and ``marker``, and n0-1 ``broadcast``.  Every scope map a reset
+    collects lists each member after its parent, as markers require."""
+    got, want, levels, unordered = [], [], set(), []
 
     def charged(net, costs, step, *args):
         # the slot is reserved first: a restart runs a reset inside it
@@ -452,6 +453,16 @@ def test_costs_are_the_tree_identities(monkeypatch, model, assignment, seed,
                                   "marker": 2 * (m - 1)},
                        _reset, core, level, root)
 
+    def collect_scope(core, level, root,
+                      _collect_scope=SchemeCore._collect_scope):
+        scope = _collect_scope(core, level, root)
+        at = {v: i for i, v in enumerate(scope)}
+        parent = core.net.parent
+        if at[root] != 0 or any(at[parent[v]] > at[v]
+                                for v in scope if v != root):
+            unordered.append((level, root))
+        return scope
+
     def charge_path(net, frm, ancestor, category,
                     _charge_path=Network.charge_path):
         return charged(net, {category: net.depth[frm] - net.depth[ancestor]},
@@ -466,6 +477,7 @@ def test_costs_are_the_tree_identities(monkeypatch, model, assignment, seed,
                        _restart, driver)
 
     monkeypatch.setattr(SchemeCore, "_reset", reset)
+    monkeypatch.setattr(SchemeCore, "_collect_scope", collect_scope)
     monkeypatch.setattr(Network, "charge_path", charge_path)
     monkeypatch.setattr(DynamicScheme, "_restart", restart)
     net = Network(assignment=assignment, rng=random.Random(seed))
@@ -474,6 +486,7 @@ def test_costs_are_the_tree_identities(monkeypatch, model, assignment, seed,
                                    0.3 if model is DynamicScheme else 0.0):
         scheme.apply(event)
     assert got == want
+    assert unordered == []
     kinds = {tuple(w) for w in want}
     assert {("reset_count", "marker"), ("signal",)} <= kinds
     assert (("watch", "reset_count", "marker", "broadcast") in kinds) == (

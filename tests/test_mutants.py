@@ -54,3 +54,33 @@ def test_corrupt_bookkeeping_is_reported_at_its_event(monkeypatch, owner,
                        invariants="every-event", verify="off")
     r = _killed(monkeypatch, config, owner, "on_leaf_added", on_leaf_added)
     assert r.invariant_violations[0].startswith(f"event 40: {owner.kind} ")
+
+
+@pytest.mark.parametrize("fault", ["count", "port"])
+def test_unreadable_scope_slots_are_a_run_error(monkeypatch, fault):
+    """One hook call raises a parent's level-1 count above its filled
+    slots, or points a filled level-1 slot at a port no child holds; the
+    reset of that same event reads the scope through them and records a
+    memory fault, not a traceback."""
+    calls = []
+
+    def on_leaf_added(book, parent, child,
+                      _hook=AdversaryBookkeeping.on_leaf_added):
+        _hook(book, parent, child)
+        calls.append(child)
+        if len(calls) == 40:
+            states = book.engine.states
+            if fault == "count":
+                states[parent].scoped_count[1] += 1
+            else:
+                states[book.engine.net.children[parent][0]].slot_table[1] = 999
+
+    config = RunConfig(seed=3, events=60, port_model="adversary",
+                       invariants="every-event", verify="off")
+    r = _killed(monkeypatch, config, AdversaryBookkeeping, "on_leaf_added",
+                on_leaf_added)
+    want = {"count": "scoped count 2 at node 8 level 1 does not fit its 1 "
+                     "filled slots",
+            "port": "a level-1 slot at node 8 names a port in [999] that "
+                    "no child holds"}
+    assert r.errors == [f"event 40: MemoryError_: {want[fault]}"]

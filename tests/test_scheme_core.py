@@ -360,21 +360,23 @@ def test_wire_blocks_with_trailing_bits_are_rejected(name):
 
 @pytest.mark.parametrize("name", ["ancestry", "distance", "seplevel", "routing"])
 def test_static_labels_are_sized_once_when_built(monkeypatch, name):
-    """Over a grown leaf-dynamic run, the static layout is sized once per
-    label a marker builds, and never while an event's labels are
-    measured: nested labels are sized from the bits their parts carry."""
+    """Over a grown leaf-dynamic run, every label a marker builds
+    carries its layout's exact bit count, and the static layout is never
+    sized while an event's labels are measured: nested labels are sized
+    from the bits their parts carry.  (The separator marker sizes its
+    labels as it builds them, without ``bits.size``.)"""
     pi = scheme_for(name)
     built, sized, flushing = [], [], []
     real_size, real_flush = bits.size, SchemeCore._flush_event
 
     def size(layout, value):
-        if layout is pi.layout:
-            sized.append(bool(flushing))
+        if layout is pi.layout and flushing:
+            sized.append(value)
         return real_size(layout, value)
 
     def marker(*args):
         labels = pi.marker(*args)
-        built.append(len(labels))
+        built.extend(labels.values())
         return labels
 
     def flush(core):
@@ -392,9 +394,10 @@ def test_static_labels_are_sized_once_when_built(monkeypatch, name):
     s = DynamicScheme(net, name, QuotaFunction.parse("pow:0.5"))
     for ev in generate_scenario(5, 300, 0.3):
         s.apply(ev)
-    assert s.restart_log and sum(built) > 300
-    assert len(sized) == sum(built)
-    assert not any(sized)
+    assert s.restart_log and len(built) > 300
+    assert sized == []
+    assert [lab for lab in built
+            if lab[-1] != real_size(pi.layout, lab[:-1])] == []
 
 
 def _checked_flushes(monkeypatch):

@@ -259,15 +259,19 @@ def _shape(name, n, rng):
     return list(range(h)) + [h] * (n - 1 - h)
 
 
-def _collected_scope(net, root, keep):
-    """A scope map built as resets collect one: a walk from root, each
-    member mapped to its kept children in port order."""
+def _collected_scope(net, root, keep, order):
+    """A scope map, each member mapped to its kept children in port
+    order, listed parents first in the given order: ``walk`` as resets
+    collect one (a depth-first walk from root), ``bfs`` breadth first,
+    ``ids`` root first and then by id, as ``scope_of`` lists one."""
     scope = {}
-    stack = [root]
-    while stack:
-        v = stack.pop()
+    queue = [root]
+    while queue:
+        v = queue.pop(0 if order == "bfs" else -1)
         scope[v] = [c for c in net.children[v] if keep(c)]
-        stack.extend(scope[v])
+        queue.extend(scope[v])
+    if order == "ids":
+        return scope_of(net, root, scope)
     return scope
 
 
@@ -275,18 +279,21 @@ def _collected_scope(net, root, keep):
 @given(name=st.sampled_from(["distance", "seplevel"]),
        shape=st.sampled_from(["random", "chain", "star", "broom"]),
        n=st.integers(1, 60), seed=st.integers(0, 10 ** 6),
-       below=st.booleans(), pruned=st.booleans())
+       below=st.booleans(), pruned=st.booleans(),
+       order=st.sampled_from(["walk", "bfs", "ids"]))
 def test_separator_marker_matches_the_two_walk_reference(name, shape, n, seed,
-                                                         below, pruned):
-    """One walk per component labels every member as two walks did: the
-    same labels in the same key order, and the same messages, on whole
-    trees and on scopes rooted below the root."""
+                                                         below, pruned,
+                                                         order):
+    """One pass per component labels every member as two walks did: the
+    same labels, sizes included, in the same key order, and the same
+    messages, on whole trees and on scopes rooted below the root,
+    whichever parents-first order the scope map lists its members in."""
     rng = random.Random(seed)
     parents = _shape(shape, n, rng)
     nets = [build_net(parents), build_net(parents)]
     root = rng.randrange(n) if below else 0
     cut = {v for v in range(1, n) if pruned and rng.random() < 0.2}
-    scope = _collected_scope(nets[0], root, lambda c: c not in cut)
+    scope = _collected_scope(nets[0], root, lambda c: c not in cut, order)
     got = scheme_for(name).marker(nets[0], root, scope)
     want = ref_separator_marker(nets[1], root, scope)
     assert list(got.items()) == list(want.items())
