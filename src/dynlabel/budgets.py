@@ -45,6 +45,13 @@ def marker_message_budget(m: int) -> int:
     return 2 * m
 
 
+def restart_message_budget(n0: int, mc: int) -> int:
+    """Protocol messages of one restart on n0 nodes, given mc = MC(pi,
+    n0): the whole-tree reset's count, 2(n0 - 1), and marker, mc, then
+    the broadcast of fresh memory, n0 - 1."""
+    return 2 * (n0 - 1) + mc + (n0 - 1)
+
+
 def finite_run_message_budget(quota: int, levels: int, mc_pi: int) -> int:
     """Hard cap on protocol messages of one finite-scheme run:
     five marker budgets per level per quota unit."""

@@ -191,6 +191,7 @@ class PhasedScheme(_CoreDriver):
         self.event_index = 0        # events applied, rejected ones not counted
         self.phase_log = []
         self.restart_log = []
+        self.restart_messages = []  # protocol messages of each restart
         self.tracker = None
         if self.deletions:
             self.tracker = make_tracker(tracker)
@@ -252,7 +253,10 @@ class PhasedScheme(_CoreDriver):
     def _restart(self) -> None:
         n0 = self._measure_tree()
         params = compute_phase_params(n0, self.quota_fn)
+        ledger = self.net.ledger
+        before = ledger.protocol_messages()
         self.core.install_on_tree(params.quota, params.levels)
+        self.restart_messages.append(ledger.protocol_messages() - before)
         self.tracker.restart_baseline(n0)
         self.restart_log.append((self.event_index, n0))
 

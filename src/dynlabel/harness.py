@@ -348,7 +348,8 @@ def _check_sample(runner, fn, sample_size, rng, event_index, seed,
 
 
 class _BoundTracker:
-    """Per-epoch message and size budget checks against declared curves."""
+    """Per-epoch and per-restart message checks and size budget checks
+    against declared curves."""
 
     def __init__(self, config, net, runner):
         self.config = config
@@ -371,16 +372,25 @@ class _BoundTracker:
 
     def after_event(self, event_index, report) -> None:
         """Check the epoch's messages and the labels after an event; a
-        restart opens a new epoch, and its own labels are checked against
-        the new epoch's curve."""
+        restart's own messages are checked against the restart curve, it
+        opens a new epoch, and its labels are checked against the new
+        epoch's curve."""
         ledger = self.net.ledger
         restarts = self.runner.restart_log
         self.max_levels = max(self.max_levels, self.runner.levels)
         if len(restarts) > self.restarts_seen:
             self.restarts_seen = len(restarts)
+            n0 = restarts[-1][1]
+            spent = self.runner.restart_messages[-1]
+            allowed = budgets.restart_message_budget(
+                n0, self.pi.mc_budget(n0))
+            if spent > allowed:
+                report.bound_violations.append(
+                    f"event {event_index}: restart messages {spent} exceed "
+                    f"budget {allowed} (count {n0})")
             self.epoch_base_messages = ledger.protocol_messages()
             self.epoch_base_joins = self.runner.core.joins
-            self.epoch_n0 = restarts[-1][1]
+            self.epoch_n0 = n0
             ever = self._epoch_ever()
         else:
             ever = self._epoch_ever()

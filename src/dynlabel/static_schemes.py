@@ -20,10 +20,14 @@ markers share one preorder (``_preorder``) and the subtree sizes read
 off it (``_sizes``).  The separator marker pays one pass per component
 of its decomposition: the root's component is read off the scope map
 itself, and every other part is walked once, out of the centroid that
-split it off.  That walk appends each member's (separator, distance)
-entry and adds the entry's bits to the member's running size, and gives
-the part the order and walk parents from which its own centroid is
-found.
+split it off.  A walk reads a member's neighbours off the scope map (its
+children) and the network's parent pointers, and builds no neighbour
+lists.  It appends each member's (separator, distance) entry and adds
+the entry's bits to the member's running size, and gives the part the
+order and walk parents from which its own centroid is found.  Entries
+are immutable and shared: a separator makes one (separator, distance)
+entry per distance, held by every member at that distance, and only its
+own (separator, 0) is held by one label alone.
 
 Schemes provided:
 
@@ -129,19 +133,21 @@ def separator_marker(net, root, scope):
     Each component costs one pass.  The root's is read off the scope
     map, which lists parents first; every other part is walked once, out
     of the centroid that split it off, and the walk appends each member's
-    entry and adds the entry's bits to the member's running size.  A
-    member's label is built when it becomes a centroid, as its entries
-    are then complete; a part of one member is its own centroid."""
+    entry and adds the entry's bits to the member's running size.  Equal
+    entries are one object: a centroid makes one (separator, distance)
+    entry per distance, shared by all its walks.  A member's neighbours
+    are its children in the scope map and its tree parent; the scope
+    root's parent lies outside the scope, so it starts out removed and
+    no walk crosses to it.  A member's label is built when it becomes a
+    centroid, as its entries are then complete; a part of one member is
+    its own centroid."""
     _charge_traversal(net, root, scope)
     parent, depth = net.parent, net.depth
-    # the traversal reached every member but the root from its parent
-    nbrs = {v: kids if v == root else kids + [parent[v]]
-            for v, kids in scope.items()}
     uid = {v: i for i, v in enumerate(sorted(scope))}
     entries = {v: [] for v in scope}
     size = dict.fromkeys(scope, 0)          # bits of the entries so far
     labels = dict.fromkeys(scope)
-    removed = set()
+    removed = {parent[root]}
     at = {v: j for j, v in enumerate(scope)}
     work = [(list(scope), [at.get(parent[v], -1) for v in scope])]
     while work:
@@ -150,29 +156,41 @@ def separator_marker(net, root, scope):
         removed.add(c)
         sep = uid[c]
         sep_bits = _uint_bits(sep)
+        own = (sep, 0)
+        # (sep, d) and its bits for each distance d from c, made once
+        # and shared by all of c's walks; c's own (sep, 0) first
+        shared = [(own, sep_bits + 1)]
         e = entries[c]
-        e.append((sep, 0))
+        e.append(own)
         # sized field by field: uid, depth, the entry count, then the
         # entries walked so far and this last one, (sep, 0)
         labels[c] = (sep, depth[c], tuple(e),
                      sep_bits + _uint_bits(depth[c]) + _uint_bits(len(e))
                      + size[c] + sep_bits + 1)
         # every neighbour not removed roots one part of the component
-        for w in nbrs[c]:
+        for w in scope[c]:
             if w not in removed:
-                work.append(_walk(w, c, nbrs, removed, sep, sep_bits,
-                                  entries, size))
+                work.append(_walk(w, c, scope, parent, removed, sep,
+                                  sep_bits, shared, entries, size))
+        w = parent[c]
+        if w not in removed:
+            work.append(_walk(w, c, scope, parent, removed, sep, sep_bits,
+                              shared, entries, size))
     return labels
 
 
-def _walk(start, frm, nbrs, removed, sep, sep_bits, entries, size):
+def _walk(start, frm, scope, parent, removed, sep, sep_bits, shared,
+          entries, size):
     """One DFS over start's part: the members not removed that it
     reaches without crossing frm, the separator, whose id ``sep`` takes
-    ``sep_bits`` bits.  Visiting a member appends its entry (sep, its
-    distance from frm, start's being 1) and adds the entry's bits to its
-    running size.  Returns the part in walk order (parents first) and
-    each member's walk parent as a position in that order (-1 for
-    start)."""
+    ``sep_bits`` bits.  Neighbours are read off the scope map and the
+    parent pointers.  ``shared`` holds frm's entry (sep, d) and its bits
+    per distance d, (sep, 0) first; the first member any of frm's walks
+    reaches at a new distance adds that distance's pair, and every
+    member at distance d (start's being 1) gets the same entry appended
+    and its bits added to its running size.  Returns the part in walk
+    order (parents first) and each member's walk parent as a position
+    in that order (-1 for start)."""
     order, up = [], []
     stack = [(start, frm, -1, 1)]
     while stack:
@@ -180,12 +198,18 @@ def _walk(start, frm, nbrs, removed, sep, sep_bits, entries, size):
         j = len(order)
         order.append(v)
         up.append(i)
-        entries[v].append((sep, d))
-        size[v] += sep_bits + _uint_bits(d)
+        if d == len(shared):
+            shared.append(((sep, d), sep_bits + _uint_bits(d)))
+        entry, entry_bits = shared[d]
+        entries[v].append(entry)
+        size[v] += entry_bits
         d += 1
-        for w in nbrs[v]:
+        for w in scope[v]:
             if w != p and w not in removed:
                 stack.append((w, v, j, d))
+        w = parent[v]
+        if w != p and w not in removed:
+            stack.append((w, v, j, d))
     return order, up
 
 

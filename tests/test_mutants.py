@@ -84,3 +84,20 @@ def test_unreadable_scope_slots_are_a_run_error(monkeypatch, fault):
             "port": "a level-1 slot at node 8 names a port in [999] that "
                     "no child holds"}
     assert r.errors == [f"event 40: MemoryError_: {want[fault]}"]
+
+
+def test_bloated_restart_marker_is_reported_at_its_event(monkeypatch):
+    """Each restart charges 10 M extra marker messages; the restart
+    budget reports every restart at its own event, and nothing else."""
+    def install_on_tree(core, quota, levels,
+                        _install=SchemeCore.install_on_tree):
+        _install(core, quota, levels)
+        core.net.ledger.count("marker", 10_000_000)
+
+    config = RunConfig(seed=4, events=200, model="dynamic", p_delete=0.3,
+                       verify="off")
+    r = _killed(monkeypatch, config, SchemeCore, "install_on_tree",
+                install_on_tree)
+    assert r.restarts
+    assert [m.split(": restart messages ")[0] for m in r.bound_violations] \
+        == [f"event {i}" for i, _ in r.restarts]

@@ -7,7 +7,8 @@ from dynlabel import PortAssignment, bits, get_function, scheme_for
 from dynlabel.functions import ROUTE_SELF
 from dynlabel.static_schemes import (INTERVAL, SEPARATOR, DecodeError,
                                      dfs_interval_decode, routing_decode,
-                                     separator_distance_decode)
+                                     separator_distance_decode,
+                                     separator_marker)
 
 from _util import build_net, random_parents, ref_separator_marker, scope_of
 
@@ -300,3 +301,32 @@ def test_separator_marker_matches_the_two_walk_reference(name, shape, n, seed,
     new, ref = (net.ledger for net in nets)
     assert list(new.by_category.items()) == list(ref.by_category.items())
     assert new.marker_last_messages == ref.marker_last_messages
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(shape=st.sampled_from(["random", "chain", "star", "broom"]),
+       n=st.integers(1, 60), seed=st.integers(0, 10 ** 6),
+       below=st.booleans(), pruned=st.booleans())
+def test_separator_entries_are_one_object_per_separator_and_distance(
+        shape, n, seed, below, pruned):
+    """Members at the same distance from the same separator hold the
+    same entry object, while each label's (separator, 0) is its own; the
+    labels are still the two-walk reference's."""
+    rng = random.Random(seed)
+    parents = _shape(shape, n, rng)
+    nets = [build_net(parents), build_net(parents)]
+    root = rng.randrange(n) if below else 0
+    cut = {v for v in range(1, n) if pruned and rng.random() < 0.2}
+    scope = _collected_scope(nets[0], root, lambda c: c not in cut, "walk")
+    labels = separator_marker(nets[0], root, scope)
+    want = ref_separator_marker(nets[1], root, scope)
+    assert list(labels.items()) == list(want.items())
+    shared = {}
+    own = []
+    for lab in labels.values():
+        *walked, last = lab[2]
+        assert last == (lab[0], 0)
+        own.append(last)
+        for entry in walked:
+            assert shared.setdefault(entry, entry) is entry
+    assert len(set(map(id, own))) == len(labels)
