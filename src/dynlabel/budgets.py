@@ -2,8 +2,8 @@
 
 Every inequality the test suite enforces is pinned here rather than
 buried in test code: static label sizes and marker message counts,
-message budgets for scheme runs, label-size growth constants, and
-external-memory curves per port model.
+message budgets and a restart's floor for scheme runs, label-size
+growth constants, and external-memory curves per port model.
 """
 
 from __future__ import annotations
@@ -50,6 +50,13 @@ def restart_message_budget(n0: int, mc: int) -> int:
     n0): the whole-tree reset's count, 2(n0 - 1), and marker, mc, then
     the broadcast of fresh memory, n0 - 1."""
     return 2 * (n0 - 1) + mc + (n0 - 1)
+
+
+def restart_message_floor(n0: int) -> int:
+    """The fewest protocol messages one restart on n0 nodes may charge:
+    the whole-tree reset's count, 2(n0 - 1), and its marker's one round
+    trip per edge, 2(n0 - 1)."""
+    return 2 * (n0 - 1) + 2 * (n0 - 1)
 
 
 def finite_run_message_budget(quota: int, levels: int, mc_pi: int) -> int:

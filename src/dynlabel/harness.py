@@ -372,9 +372,9 @@ class _BoundTracker:
 
     def after_event(self, event_index, report) -> None:
         """Check the epoch's messages and the labels after an event; a
-        restart's own messages are checked against the restart curve, it
-        opens a new epoch, and its labels are checked against the new
-        epoch's curve."""
+        restart's own messages are checked against the restart curve and
+        floor, it opens a new epoch, and its labels are checked against
+        the new epoch's curve."""
         ledger = self.net.ledger
         restarts = self.runner.restart_log
         self.max_levels = max(self.max_levels, self.runner.levels)
@@ -388,6 +388,11 @@ class _BoundTracker:
                 report.bound_violations.append(
                     f"event {event_index}: restart messages {spent} exceed "
                     f"budget {allowed} (count {n0})")
+            floor = budgets.restart_message_floor(n0)
+            if spent < floor:
+                report.bound_violations.append(
+                    f"event {event_index}: restart messages {spent} fall "
+                    f"below floor {floor} (count {n0})")
             self.epoch_base_messages = ledger.protocol_messages()
             self.epoch_base_joins = self.runner.core.joins
             self.epoch_n0 = n0

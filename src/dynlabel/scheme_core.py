@@ -260,6 +260,12 @@ class SchemeCore:
         count = net.broadcast_convergecast(
             root, scope, lambda w: states[w].ever_share[level],
             category="reset_count")
+        # the marker crosses the edges the count just crossed, so it is
+        # charged by count: no walk re-checks those hops
+        if len(scope) > 1:
+            crossings = 2 * (len(scope) - 1)
+            net.ledger.count("marker", crossings)
+            net.ledger.note_marker(crossings)
         labels = self.pi.marker(net, root, scope)
         if len(set(labels.values())) != len(labels):
             raise SchemeError("marker produced duplicate labels")

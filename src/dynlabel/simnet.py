@@ -97,7 +97,6 @@ class MetricsLedger:
     max_memory_bits: int = 0
     reset_count: int = 0
     marker_max_messages: int = 0
-    marker_last_messages: int = 0
     per_event_rows: list = field(default_factory=list)
 
     def count(self, category: str, n: int = 1) -> None:
@@ -123,7 +122,6 @@ class MetricsLedger:
             self.max_memory_bits = n
 
     def note_marker(self, messages: int) -> None:
-        self.marker_last_messages = messages
         if messages > self.marker_max_messages:
             self.marker_max_messages = messages
 

@@ -4,10 +4,11 @@ A marker labels every member of a connected subtree in one invocation.
 It takes the subtree as a scope map: each member mapped to its children
 inside the subtree in port order, listed parents first (the root first,
 every other member after its parent), as ``SchemeCore._collect_scope``
-and ``install_fresh`` build it.  The invocation is charged as a
-traversal that crosses each subtree edge once in each direction
-(2*(m-1) messages for m members).  Decoders are pure functions of two
-labels from the same invocation.
+and ``install_fresh`` build it.  A marker only labels: it writes nothing
+to the network or its ledger.  ``SchemeCore._reset`` charges each
+invocation as a traversal that crosses each subtree edge once in each
+direction (2*(m-1) ``marker`` messages for m members).  Decoders are
+pure functions of two labels from the same invocation.
 
 A label is the tuple of its wire fields, in the order its scheme's
 ``layout`` declares them, followed by its exact bit count, which the
@@ -60,22 +61,13 @@ class DecodeError(ValueError):
 
 @dataclass(frozen=True)
 class StaticScheme:
-    marker: Callable          # (net, root, scope map) -> {node: label}
+    # (net, root, scope map) -> {node: label}; writes nothing, and
+    # SchemeCore._reset charges each invocation
+    marker: Callable
     decoder: Callable         # (label_u, label_v) -> F value
     layout: tuple             # wire fields of a label (bits.encode/read)
     ls_budget: Callable       # (n, port bits) -> bit budget
     mc_budget: Callable = marker_message_budget   # n -> message budget
-
-
-def _charge_traversal(net, root, scope):
-    """Walk every scope edge down and back, one message per crossing;
-    the scope must be connected below its root."""
-    before = net.ledger.messages_total
-    seen = net.broadcast_convergecast(root, scope, lambda v: 1,
-                                      category="marker")
-    net.ledger.note_marker(net.ledger.messages_total - before)
-    if seen != len(scope):
-        raise DecodeError("marker scope is not connected")
 
 
 # -- ancestry: depth-first intervals ---------------------------------------
@@ -85,7 +77,6 @@ INTERVAL = (bits.UINT, bits.UINT)       # a, d: the interval [a, a + d]
 
 
 def dfs_interval_marker(net, root, scope):
-    _charge_traversal(net, root, scope)
     order = _preorder(root, scope)
     size = _sizes(order, scope)
     return {v: bits.sized(INTERVAL, (i, size[v] - 1))
@@ -141,7 +132,6 @@ def separator_marker(net, root, scope):
     no walk crosses to it.  A member's label is built when it becomes a
     centroid, as its entries are then complete; a part of one member is
     its own centroid."""
-    _charge_traversal(net, root, scope)
     parent, depth = net.parent, net.depth
     uid = {v: i for i, v in enumerate(sorted(scope))}
     entries = {v: [] for v in scope}
@@ -270,7 +260,6 @@ ROUTING = (bits.UINT, bits.UINT, bits.SINT, bits.SINT, bits.PAIRS)
 
 
 def routing_marker(net, root, scope):
-    _charge_traversal(net, root, scope)
     size = _sizes(_preorder(root, scope), scope)
     down = net.down_port
     heavy = {v: max(kids, key=lambda c: (size[c], -down[c]))

@@ -8,7 +8,7 @@ from dynlabel.harness import (AUTO_EXHAUSTIVE_LIMIT, EXHAUSTIVE_HARD_CAP,
                               ExhaustiveCapError, Mismatch)
 from dynlabel.memory import BackupStore, counter_list_bits, take_snapshot
 from dynlabel.simnet import SimulationError
-from dynlabel.static_schemes import SEPARATOR, _charge_traversal
+from dynlabel.static_schemes import SEPARATOR
 
 
 def rooted_trees(n):
@@ -472,7 +472,6 @@ def ref_broadcast_convergecast(net, subtree_root, scope, aggregate,
 
 def ref_separator_marker(net, root, scope):
     """``static_schemes.separator_marker`` by two walks per component."""
-    _charge_traversal(net, root, scope)
     nbrs = {v: kids if v == root else kids + [net.parent[v]]
             for v, kids in scope.items()}
     uid = {v: i for i, v in enumerate(sorted(scope))}

@@ -10,6 +10,7 @@ import pytest
 from dynlabel import RunConfig, run
 from dynlabel.memory import AdversaryBookkeeping, DesignerBookkeeping
 from dynlabel.scheme_core import SchemeCore
+from dynlabel.simnet import MetricsLedger
 
 
 def _killed(monkeypatch, config, owner, attr, mutant):
@@ -101,3 +102,21 @@ def test_bloated_restart_marker_is_reported_at_its_event(monkeypatch):
     assert r.restarts
     assert [m.split(": restart messages ")[0] for m in r.bound_violations] \
         == [f"event {i}" for i, _ in r.restarts]
+
+
+def test_restart_that_charges_no_marker_is_reported_at_its_event(
+        monkeypatch):
+    """The ledger drops every marker charge, so a restart costs only its
+    count and broadcast; the restart floor reports every restart at its
+    own event, and nothing else."""
+    def count(ledger, category, n=1, _count=MetricsLedger.count):
+        if category != "marker":
+            _count(ledger, category, n)
+
+    config = RunConfig(seed=4, events=200, model="dynamic", p_delete=0.3,
+                       verify="off")
+    r = _killed(monkeypatch, config, MetricsLedger, "count", count)
+    assert r.restarts
+    assert [m.split(": restart messages ")[0] for m in r.bound_violations] \
+        == [f"event {i}" for i, _ in r.restarts]
+    assert all(" fall below floor " in m for m in r.bound_violations)
