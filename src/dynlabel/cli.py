@@ -14,7 +14,7 @@ import argparse
 import os
 import sys
 
-from .dynamic import QuotaFunction
+from .dynamic import TRACKERS, QuotaFunction
 from .functions import FUNCTIONS
 from .harness import (INVARIANT_MODES, MODELS, PORT_MODELS, RunConfig,
                       generate_scenario, run)
@@ -67,7 +67,7 @@ def _build_parser():
     p.add_argument("--kfn", type=_quota_rule, default="pow:0.5",
                    help="quota rule: pow:E (E in [0, 1]) | logpow:E "
                         "(E in [0, 16]) | const:K")
-    p.add_argument("--watch", default="exact",
+    p.add_argument("--watch", choices=TRACKERS, default="exact",
                    help="change tracker driving restarts")
     p.add_argument("--verify", default="sampled:64",
                    help="exhaustive | sampled:<m> | off")

@@ -61,10 +61,6 @@ class QuotaFunction:
             raise ValueError(f"quota function needs a parameter: {text!r}")
         return cls(kind, float(param))
 
-    def __str__(self):
-        param = int(self.param) if self.kind == "const" else self.param
-        return f"{self.kind}:{param}"
-
     def value(self, n: int) -> int:
         if n < 1:
             raise ValueError("tree count must be positive")
@@ -191,7 +187,9 @@ class PhasedScheme(_CoreDriver):
         self.event_index = 0        # events applied, rejected ones not counted
         self.phase_log = []
         self.restart_log = []
-        self.restart_messages = []  # protocol messages of each restart
+        # per restart: its protocol messages, the protocol total when it
+        # began, and the (quota, levels) in force then
+        self.restart_messages = []
         self.tracker = None
         if self.deletions:
             self.tracker = make_tracker(tracker)
@@ -208,7 +206,8 @@ class PhasedScheme(_CoreDriver):
         """The alive node count, taken by a ``watch`` convergecast: nodes
         can leave, so the root has no standing count."""
         return self.net.broadcast_convergecast(
-            self.net.root, self.net.children, lambda v: 1, category="watch")
+            self.net.root, self.net.children.__getitem__, lambda v: 1,
+            category="watch")[0]
 
     def _phase_shift(self, count):
         params = compute_phase_params(count, self.quota_fn)
@@ -255,8 +254,10 @@ class PhasedScheme(_CoreDriver):
         params = compute_phase_params(n0, self.quota_fn)
         ledger = self.net.ledger
         before = ledger.protocol_messages()
+        quota, levels = self.quota, self.levels
         self.core.install_on_tree(params.quota, params.levels)
-        self.restart_messages.append(ledger.protocol_messages() - before)
+        self.restart_messages.append(
+            (ledger.protocol_messages() - before, before, quota, levels))
         self.tracker.restart_baseline(n0)
         self.restart_log.append((self.event_index, n0))
 

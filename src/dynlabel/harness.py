@@ -370,18 +370,32 @@ class _BoundTracker:
     def _epoch_ever(self) -> int:
         return self.epoch_n0 + (self.runner.core.joins - self.epoch_base_joins)
 
+    def _check_epoch(self, event_index, report, spent, quota, levels,
+                     ever) -> None:
+        allowed = budgets.finite_run_message_budget(
+            quota, levels, self.pi.mc_budget(ever))
+        if spent > allowed:
+            report.bound_violations.append(
+                f"event {event_index}: protocol messages {spent} exceed "
+                f"budget {allowed} (quota {quota}, levels {levels}, "
+                f"count {ever})")
+
     def after_event(self, event_index, report) -> None:
-        """Check the epoch's messages and the labels after an event; a
-        restart's own messages are checked against the restart curve and
-        floor, it opens a new epoch, and its labels are checked against
-        the new epoch's curve."""
+        """Check the epoch's messages and the labels after an event.  At
+        a restart's event, the closing epoch is checked up to the
+        restart's start in the phase then in force, the restart's own
+        messages against the restart curve and floor, and the labels
+        against the new epoch's curve."""
         ledger = self.net.ledger
         restarts = self.runner.restart_log
         self.max_levels = max(self.max_levels, self.runner.levels)
         if len(restarts) > self.restarts_seen:
             self.restarts_seen = len(restarts)
             n0 = restarts[-1][1]
-            spent = self.runner.restart_messages[-1]
+            spent, began, quota, levels = self.runner.restart_messages[-1]
+            self._check_epoch(event_index, report,
+                              began - self.epoch_base_messages, quota,
+                              levels, self._epoch_ever())
             allowed = budgets.restart_message_budget(
                 n0, self.pi.mc_budget(n0))
             if spent > allowed:
@@ -399,15 +413,10 @@ class _BoundTracker:
             ever = self._epoch_ever()
         else:
             ever = self._epoch_ever()
-            spent = ledger.protocol_messages() - self.epoch_base_messages
-            allowed = budgets.finite_run_message_budget(
-                self.runner.quota, self.runner.levels,
-                self.pi.mc_budget(ever))
-            if spent > allowed:
-                report.bound_violations.append(
-                    f"event {event_index}: protocol messages {spent} exceed "
-                    f"budget {allowed} (quota {self.runner.quota}, levels "
-                    f"{self.runner.levels}, count {ever})")
+            self._check_epoch(event_index, report,
+                              ledger.protocol_messages()
+                              - self.epoch_base_messages,
+                              self.runner.quota, self.runner.levels, ever)
         label_budget = budgets.dynamic_label_budget(
             self.pi.ls_budget(ever, self.port_bits), self.runner.levels)
         if ledger.max_label_bits > label_budget:

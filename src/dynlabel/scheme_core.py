@@ -250,15 +250,30 @@ class SchemeCore:
             scope = self._reset(level, root)
 
     def _reset(self, level: int, root: int):
-        """Count and relabel one decomposition subtree; returns its
-        scope map.  A restart is the top-level reset over fresh memory
-        (``install_on_tree``), so every reset is counted here."""
+        """Count and relabel one decomposition subtree in one walk, the
+        count's, and return the scope map it walked (parents first, as
+        markers require).  The top level holds every child; below it the
+        port bookkeeping names them.  A restart is the top-level reset
+        over fresh memory (``install_on_tree``), so every reset is
+        counted here."""
         net, states = self.net, self.states
         if states[root].top_scope < level:
             raise SchemeError(f"reset target {root} is not a level-{level} scope root")
-        scope = self._collect_scope(level, root)
-        count = net.broadcast_convergecast(
-            root, scope, lambda w: states[w].ever_share[level],
+        if level == self.levels:
+            children = net.children_by_port
+        else:
+            def children(v):
+                kids = self.bookkeeping.children_in_scope(v, level)
+                if self.verify_scopes:
+                    truth = self.ground_children_in_scope(v, level)
+                    if sorted(kids) != sorted(truth):
+                        self.violations.append(
+                            f"scope query at node {v} level {level}: "
+                            f"{sorted(kids)} != {sorted(truth)}")
+                        return truth
+                return kids
+        count, scope = net.broadcast_convergecast(
+            root, children, lambda w: states[w].ever_share[level],
             category="reset_count")
         # the marker crosses the edges the count just crossed, so it is
         # charged by count: no walk re-checks those hops
@@ -299,32 +314,6 @@ class SchemeCore:
             st.ever_count[1:level] = ones
             st.links[2:level + 1] = [self_value(net, w)] * (level - 1)
         self._dirty.update(members)
-
-    def _collect_scope(self, level: int, root: int) -> dict:
-        """The scope map of the level-`level` subtree at `root`: each
-        member mapped to its in-scope children in port order, listed
-        parents first (a walk from root), as markers require.  Below the
-        top level the port bookkeeping names them; the top level holds
-        every child."""
-        top = level == self.levels
-        scope = {}
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            if top:
-                kids = self.net.children_by_port(v)
-            else:
-                kids = self.bookkeeping.children_in_scope(v, level)
-                if self.verify_scopes:
-                    truth = self.ground_children_in_scope(v, level)
-                    if sorted(kids) != sorted(truth):
-                        self.violations.append(
-                            f"scope query at node {v} level {level}: "
-                            f"{sorted(kids)} != {sorted(truth)}")
-                        kids = truth
-            scope[v] = kids
-            stack.extend(kids)
-        return scope
 
     def ground_children_in_scope(self, v: int, level: int):
         """v's children inside its level-``level`` scope (below the top

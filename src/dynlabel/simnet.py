@@ -8,7 +8,8 @@ hop to a tree neighbour is charged one message: ``send`` charges one
 hop, and a relay (``charge_path``) or a convergecast
 (``broadcast_convergecast``) charges all of its hops in one ledger
 entry.  Every hop is checked by the hop rule (``_hop``) but a
-convergecast's return up an edge it has just crossed down.
+convergecast's return up an edge it has just crossed down.  A
+convergecast finds its subtree as it goes: each member names its children.
 
 A port number belongs to one end of a tree edge.  Stored ports are
 keyed by the edge's child end c: ``up_port[c]`` is the port at c toward
@@ -320,32 +321,32 @@ class Network:
                 self.ledger.count(category, hops)
         return hops
 
-    def broadcast_convergecast(self, subtree_root: int, scope, aggregate,
+    def broadcast_convergecast(self, subtree_root: int, children, aggregate,
                                category="reset_count"):
-        """Broadcast down and converge back up over a subtree.
+        """Broadcast down and converge back up over a subtree; return the
+        sum of ``aggregate(node)`` over its members and the map walked.
 
-        ``scope`` maps each member to its children inside the subtree
-        (``children`` itself for the whole tree below ``subtree_root``);
-        ``aggregate(node)`` yields each member's contribution, and the
-        sum over the members reached from ``subtree_root`` is returned.
-
-        Each scope edge is crossed down and back up; the down crossing
-        is checked as ``send`` checks it, and the up crossing, retracing
-        an edge just found alive and adjacent, cannot fail.  The
-        traversal's crossings, 2*(m-1) for the m members reached, are
-        charged as one ledger entry when it ends, also when a hop or
-        ``aggregate`` raises (none for no crossings).
+        ``children(v)`` names v's children inside the subtree, asked once
+        per member as the broadcast reaches it; the map holds each member
+        reached with the children it named, parents first.  Each named
+        edge is crossed down and back up; the down crossing is checked as
+        ``send`` checks it, and the up crossing, retracing an edge just
+        found alive and adjacent, cannot fail.  The 2*(m-1) crossings for
+        the m members reached are charged as one ledger entry when the
+        walk ends, also when it raises (none for no crossings).
         """
         if not self.is_alive(subtree_root):
             raise SimulationError(f"subtree root {subtree_root} not alive")
         hop = self._hop
         crossings = 0
         total = aggregate(subtree_root)
+        walked = {}
         stack = [subtree_root]
         try:
             while stack:
                 v = stack.pop()
-                for c in scope[v]:
+                kids = walked[v] = children(v)
+                for c in kids:
                     hop(v, c)                  # down, then back up
                     crossings += 2
                     total += aggregate(c)
@@ -353,7 +354,7 @@ class Network:
         finally:
             if crossings:
                 self.ledger.count(category, crossings)
-        return total
+        return total, walked
 
     # -- structural checks ----------------------------------------------
 

@@ -3,12 +3,13 @@
 A marker labels every member of a connected subtree in one invocation.
 It takes the subtree as a scope map: each member mapped to its children
 inside the subtree in port order, listed parents first (the root first,
-every other member after its parent), as ``SchemeCore._collect_scope``
-and ``install_fresh`` build it.  A marker only labels: it writes nothing
-to the network or its ledger.  ``SchemeCore._reset`` charges each
-invocation as a traversal that crosses each subtree edge once in each
-direction (2*(m-1) ``marker`` messages for m members).  Decoders are
-pure functions of two labels from the same invocation.
+every other member after its parent), as ``SchemeCore._reset``'s count
+convergecast walks it and ``install_fresh`` builds it.  A marker only
+labels: it writes nothing to the network or its ledger.
+``SchemeCore._reset`` charges each invocation as a traversal that
+crosses each subtree edge once in each direction (2*(m-1) ``marker``
+messages for m members).  Decoders are pure functions of two labels
+from the same invocation.
 
 A label is the tuple of its wire fields, in the order its scheme's
 ``layout`` declares them, followed by its exact bit count, which the

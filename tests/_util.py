@@ -453,21 +453,23 @@ def ref_charge_path(net, frm, ancestor, category):
     return hops
 
 
-def ref_broadcast_convergecast(net, subtree_root, scope, aggregate,
+def ref_broadcast_convergecast(net, subtree_root, children, aggregate,
                                category="reset_count"):
     """``Network.broadcast_convergecast`` by one ``send`` per crossing."""
     if not net.is_alive(subtree_root):
         raise SimulationError(f"subtree root {subtree_root} not alive")
     total = aggregate(subtree_root)
+    walked = {}
     stack = [subtree_root]
     while stack:
         v = stack.pop()
-        for c in scope[v]:
+        walked[v] = children(v)
+        for c in walked[v]:
             net.send(v, c, category)      # down
             net.send(c, v, category)      # up
             total += aggregate(c)
             stack.append(c)
-    return total
+    return total, walked
 
 
 def ref_separator_marker(net, root, scope):

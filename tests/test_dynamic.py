@@ -54,9 +54,11 @@ def test_quota_function_accepts_the_ends_of_its_ranges():
             QuotaFunction.parse(rule)
 
 
-def test_quota_function_parse_round_trip():
-    assert str(QuotaFunction.parse("pow:0.5")) == "pow:0.5"
-    assert str(QuotaFunction.parse("const:4")) == "const:4"
+def test_quota_function_parse_reads_kind_and_parameter():
+    qf = QuotaFunction.parse("pow:0.5")
+    assert (qf.kind, qf.param) == ("pow", 0.5)
+    qf = QuotaFunction.parse("const:4")
+    assert (qf.kind, qf.param) == ("const", 4)
     with pytest.raises(ValueError):
         QuotaFunction.parse("pow")
     with pytest.raises(ValueError):
@@ -433,7 +435,7 @@ def test_costs_are_the_tree_identities(monkeypatch, model, assignment, seed,
     ``marker``; a relay, its two ends' depth difference; a restart on n0
     nodes 2(n0-1) ``watch`` for its measurement, 2(n0-1) ``reset_count``
     and ``marker``, and n0-1 ``broadcast``.  Every scope map a reset
-    collects lists each member after its parent, as markers require."""
+    walks lists each member after its parent, as markers require."""
     got, want, levels, unordered = [], [], set(), []
 
     def charged(net, costs, step, *args):
@@ -449,13 +451,9 @@ def test_costs_are_the_tree_identities(monkeypatch, model, assignment, seed,
     def reset(core, level, root, _reset=SchemeCore._reset):
         m = _scope_size(core, level, root)
         levels.add(level)
-        return charged(core.net, {"reset_count": 2 * (m - 1),
-                                  "marker": 2 * (m - 1)},
-                       _reset, core, level, root)
-
-    def collect_scope(core, level, root,
-                      _collect_scope=SchemeCore._collect_scope):
-        scope = _collect_scope(core, level, root)
+        scope = charged(core.net, {"reset_count": 2 * (m - 1),
+                                   "marker": 2 * (m - 1)},
+                        _reset, core, level, root)
         at = {v: i for i, v in enumerate(scope)}
         parent = core.net.parent
         if at[root] != 0 or any(at[parent[v]] > at[v]
@@ -477,7 +475,6 @@ def test_costs_are_the_tree_identities(monkeypatch, model, assignment, seed,
                        _restart, driver)
 
     monkeypatch.setattr(SchemeCore, "_reset", reset)
-    monkeypatch.setattr(SchemeCore, "_collect_scope", collect_scope)
     monkeypatch.setattr(Network, "charge_path", charge_path)
     monkeypatch.setattr(DynamicScheme, "_restart", restart)
     net = Network(assignment=assignment, rng=random.Random(seed))

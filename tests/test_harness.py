@@ -702,6 +702,13 @@ def test_cli_rejects_a_bad_quota_rule(capsys):
         assert "argument --kfn" in capsys.readouterr().err
 
 
+def test_cli_offers_the_package_trackers(capsys):
+    with pytest.raises(SystemExit) as stop:
+        cli_main(["run", "--watch", "bogus"])
+    assert stop.value.code == 2
+    assert "argument --watch" in capsys.readouterr().err
+
+
 def test_cli_names_the_bad_scenario_line(tmp_path, capsys):
     scen = tmp_path / "bad.txt"
     scen.write_text("A 0\nA x\n")

@@ -1,5 +1,7 @@
 import copy
+import inspect
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +11,7 @@ from dynlabel import (DynamicScheme, FiniteScheme, IncreasingScheme, Network,
 from dynlabel.functions import FUNCTIONS
 from dynlabel.harness import (RunConfig, build_network, build_runner,
                               generate_scenario, write_memory_report)
-from dynlabel.memory import MemoryError_, copy_holder
+from dynlabel.memory import AdversaryBookkeeping, MemoryError_, copy_holder
 
 from _util import (RefBackupStore, grow_random, int_bits, ports_at,
                    ref_memory_bits, ref_snapshot_bits)
@@ -94,7 +96,9 @@ def test_adversary_tables_match_ground_truth_during_growth():
         assert s.scan_invariants() == []
 
 
-def test_adversary_dynamic_sweep_keeps_all_invariants():
+def _random_sweep():
+    """The scheme after every event of a 400-event ``pow:0.5`` sweep
+    drawn against the live tree."""
     rng = random.Random(21)
     net = Network(assignment=PortAssignment.ADVERSARY, rng=random.Random(22))
     s = DynamicScheme(net, "distance", QuotaFunction.parse("pow:0.5"),
@@ -106,7 +110,60 @@ def test_adversary_dynamic_sweep_keeps_all_invariants():
         else:
             pool = net.alive_list
             s.add_leaf(pool[rng.randrange(len(pool))])
-        assert s.scan_invariants() == []
+        yield s
+
+
+def _replay(config):
+    """The runner after every event of ``config``'s stream."""
+    net = build_network(config)
+    runner = build_runner(config, net)
+    for ev in generate_scenario(config.seed, config.events, config.p_delete):
+        runner.apply(ev)
+        yield runner
+
+
+def _line_runs(monkeypatch, owner, name, text):
+    """A list that gains an entry each time ``owner.name`` runs its line
+    holding ``text``."""
+    func = getattr(owner, name)
+    lines, first = inspect.getsourcelines(func)
+    line = first + next(i for i, src in enumerate(lines) if text in src)
+    runs = []
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno == line:
+            runs.append(line)
+        return local
+
+    def traced(*args):
+        outer = sys.gettrace()
+        sys.settrace(lambda frame, event, arg:
+                     local if frame.f_code is func.__code__ else None)
+        try:
+            return func(*args)
+        finally:
+            sys.settrace(outer)
+
+    monkeypatch.setattr(owner, name, traced)
+    return runs
+
+
+def test_adversary_dynamic_sweep_keeps_all_invariants(monkeypatch):
+    """Scans stay clean after every event of a random sweep and of a
+    ``const:3`` stream.  The latter removes a child while the last
+    counted slot names another child than the removed one, so the repair
+    re-points that child's back-reference (``on_child_removed``'s
+    ``y != child`` case, which the sweep never reaches)."""
+    repoints = _line_runs(monkeypatch, AdversaryBookkeeping,
+                          "on_child_removed", "states[y].slot_backref[l] =")
+    stream = RunConfig(seed=10, events=200, model="dynamic", p_delete=0.3,
+                       port_model="adversary", function="distance",
+                       quota_fn="const:3", verify="off",
+                       invariants="every-event")
+    for steps in (_random_sweep(), _replay(stream)):
+        for s in steps:
+            assert s.scan_invariants() == []
+    assert repoints
 
 
 class ScriptedPorts:
@@ -316,14 +373,9 @@ def test_refreshing_an_unchanged_memory_keeps_its_copy(assignment):
 
 def _stream(function, model, port_model, seed=5):
     """The runner after every event of a 300-event stream."""
-    config = RunConfig(seed=seed, events=300, model=model,
-                       port_model=port_model, function=function,
-                       p_delete=0.3 if model == "dynamic" else 0.0)
-    net = build_network(config)
-    runner = build_runner(config, net)
-    for ev in generate_scenario(config.seed, config.events, config.p_delete):
-        runner.apply(ev)
-        yield runner
+    return _replay(RunConfig(seed=seed, events=300, model=model,
+                             port_model=port_model, function=function,
+                             p_delete=0.3 if model == "dynamic" else 0.0))
 
 
 @pytest.mark.parametrize("port_model", ["designer", "adversary"])

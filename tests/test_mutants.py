@@ -8,7 +8,9 @@ the mutant is aimed at.
 import pytest
 
 from dynlabel import RunConfig, run
-from dynlabel.memory import AdversaryBookkeeping, DesignerBookkeeping
+from dynlabel.dynamic import DynamicScheme
+from dynlabel.memory import (AdversaryBookkeeping, DesignerBookkeeping,
+                             MemoryError_)
 from dynlabel.scheme_core import SchemeCore
 from dynlabel.simnet import MetricsLedger
 
@@ -87,6 +89,46 @@ def test_unreadable_scope_slots_are_a_run_error(monkeypatch, fault):
     assert r.errors == [f"event 40: MemoryError_: {want[fault]}"]
 
 
+def test_a_scope_fault_mid_walk_charges_the_crossings_made(monkeypatch):
+    """Event 35 raises node 24's level-1 count above its filled slots,
+    below the root 21 of the scope that event's reset walks.  The run
+    records the memory fault, and the reset charges the crossings its
+    walk made before it reached node 24: those of a walk of the true
+    scope, stopped there."""
+    calls, charged = [], []
+
+    def on_leaf_added(book, parent, child,
+                      _hook=AdversaryBookkeeping.on_leaf_added):
+        _hook(book, parent, child)
+        calls.append(child)
+        if len(calls) == 35:
+            book.engine.states[parent].scoped_count[1] += 1
+
+    def reset(core, level, root, _reset=SchemeCore._reset):
+        before = core.net.ledger.category("reset_count")
+        try:
+            return _reset(core, level, root)
+        except MemoryError_:
+            reached, stack = 1, [root]
+            while (v := stack.pop()) != 24:
+                kids = core.ground_children_in_scope(v, level)
+                reached += len(kids)
+                stack.extend(kids)
+            charged.append((root, core.net.ledger.category("reset_count")
+                            - before, 2 * (reached - 1)))
+            raise
+
+    monkeypatch.setattr(SchemeCore, "_reset", reset)
+    config = RunConfig(seed=3, events=60, port_model="adversary",
+                       invariants="every-event", verify="off")
+    r = _killed(monkeypatch, config, AdversaryBookkeeping, "on_leaf_added",
+                on_leaf_added)
+    assert r.errors == ["event 35: MemoryError_: scoped count 4 at node 24 "
+                        "level 1 does not fit its 3 filled slots"]
+    [(root, got, want)] = charged
+    assert root == 21 and got == want > 0
+
+
 def test_bloated_restart_marker_is_reported_at_its_event(monkeypatch):
     """Each restart charges 10 M extra marker messages; the restart
     budget reports every restart at its own event, and nothing else."""
@@ -120,3 +162,19 @@ def test_restart_that_charges_no_marker_is_reported_at_its_event(
     assert [m.split(": restart messages ")[0] for m in r.bound_violations] \
         == [f"event {i}" for i, _ in r.restarts]
     assert all(" fall below floor " in m for m in r.bound_violations)
+
+
+def test_restart_event_spend_is_billed_to_the_closing_epoch(monkeypatch):
+    """Each restart is preceded by 10 M ``signal`` messages in its own
+    event; the closing epoch's check, up to the restart's start, reports
+    every restart at its own event, and nothing else."""
+    def restart(driver, _restart=DynamicScheme._restart):
+        driver.net.ledger.count("signal", 10_000_000)
+        _restart(driver)
+
+    config = RunConfig(seed=4, events=200, model="dynamic", p_delete=0.3,
+                       verify="off")
+    r = _killed(monkeypatch, config, DynamicScheme, "_restart", restart)
+    assert r.restarts
+    assert [m.split(": protocol messages ")[0] for m in r.bound_violations] \
+        == [f"event {i}" for i, _ in r.restarts]

@@ -132,27 +132,33 @@ def test_send_to_dead_neighbor_raises_and_counts():
 
 def test_broadcast_convergecast_singleton():
     net = Network()
-    value = net.broadcast_convergecast(0, scope_of(net, 0, {0}), lambda v: 1)
-    assert value == 1
+    value, walked = net.broadcast_convergecast(
+        0, scope_of(net, 0, {0}).__getitem__, lambda v: 1)
+    assert (value, walked) == (1, {0: []})
     assert net.ledger.messages_total == 0
 
 
 def test_broadcast_convergecast_five_nodes():
     # the whole tree, then a map that leaves out node 1's child 4 and
-    # node 0's child 2
+    # node 0's child 2; the walked map lists members as the walk pops
+    # them, parents first
     for members in ({0, 1, 2, 3, 4}, {0, 1, 3}):
         net = build_net([0, 0, 1, 1])
-        count = net.broadcast_convergecast(0, scope_of(net, 0, members),
-                                           lambda v: 1)
+        scope = scope_of(net, 0, members)
+        count, walked = net.broadcast_convergecast(0, scope.__getitem__,
+                                                   lambda v: 1)
         assert count == len(members)
+        assert walked == scope
+        assert list(walked) == ([0, 1, 3, 4, 2] if len(members) == 5
+                                else [0, 1, 3])
         assert net.ledger.messages_total == 2 * (len(members) - 1)
 
 
 def test_broadcast_convergecast_custom_aggregate():
     net = build_net([0, 0, 1])
     weight = {0: 5, 1: 2, 2: 1, 3: 9}
-    total = net.broadcast_convergecast(0, scope_of(net, 0, weight),
-                                       weight.__getitem__)
+    total, _ = net.broadcast_convergecast(
+        0, scope_of(net, 0, weight).__getitem__, weight.__getitem__)
     assert total == 17
 
 
@@ -231,8 +237,7 @@ def test_replay_message_count_is_deterministic():
         for parent in [0, 0, 1, 2, 2, 0]:
             net.add_leaf(parent)
         net.charge_path(6, 0, "signal")
-        net.broadcast_convergecast(0, scope_of(net, 0, net.alive_nodes()),
-                                   lambda v: 1)
+        net.broadcast_convergecast(0, net.children.__getitem__, lambda v: 1)
         return net.ledger.messages_total, dict(net.ledger.by_category)
 
     assert one_run() == one_run()
@@ -363,7 +368,8 @@ def _traverse(net, walkers, op):
             scope = {a: []}
         else:
             scope = wild
-        call = lambda: convergecast(net, a, scope, aggregate, category)
+        call = lambda: convergecast(net, a, scope.__getitem__, aggregate,
+                                    category)
     try:
         return call()
     except (SimulationError, LookupError) as err:
