@@ -2,8 +2,9 @@
 
 Every inequality the test suite enforces is pinned here rather than
 buried in test code: static label sizes and marker message counts,
-message budgets and a restart's floor for scheme runs, label-size
-growth constants, and external-memory curves per port model.
+message budgets and the floors of a restart and of a join's signals
+for scheme runs, label-size growth constants, and external-memory
+curves per port model.
 """
 
 from __future__ import annotations
@@ -57,6 +58,13 @@ def restart_message_floor(n0: int) -> int:
     the whole-tree reset's count, 2(n0 - 1), and its marker's one round
     trip per edge, 2(n0 - 1)."""
     return 2 * (n0 - 1) + 2 * (n0 - 1)
+
+
+def join_signal_floor(joins: int) -> int:
+    """The fewest ``signal`` messages an event with this many joins may
+    charge: each join signals from the new leaf to its level-1 scope
+    root, a strict ancestor, so it takes at least one hop."""
+    return joins
 
 
 def finite_run_message_budget(quota: int, levels: int, mc_pi: int) -> int:

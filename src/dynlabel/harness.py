@@ -348,8 +348,8 @@ def _check_sample(runner, fn, sample_size, rng, event_index, seed,
 
 
 class _BoundTracker:
-    """Per-epoch and per-restart message checks and size budget checks
-    against declared curves."""
+    """Per-epoch, per-restart and per-event message checks and size
+    budget checks against declared curves."""
 
     def __init__(self, config, net, runner):
         self.config = config
@@ -366,6 +366,8 @@ class _BoundTracker:
         self.epoch_n0 = net.alive_count
         self.restarts_seen = 0
         self.max_levels = runner.levels
+        self.signals = net.ledger.category("signal")
+        self.joins = runner.core.joins
 
     def _epoch_ever(self) -> int:
         return self.epoch_n0 + (self.runner.core.joins - self.epoch_base_joins)
@@ -385,9 +387,18 @@ class _BoundTracker:
         a restart's event, the closing epoch is checked up to the
         restart's start in the phase then in force, the restart's own
         messages against the restart curve and floor, and the labels
-        against the new epoch's curve."""
+        against the new epoch's curve.  Every event's ``signal``
+        messages are checked against its joins' floor."""
         ledger = self.net.ledger
         restarts = self.runner.restart_log
+        signals, joins = ledger.category("signal"), self.runner.core.joins
+        floor = budgets.join_signal_floor(joins - self.joins)
+        if signals - self.signals < floor:
+            report.bound_violations.append(
+                f"event {event_index}: signal messages "
+                f"{signals - self.signals} fall below floor {floor} "
+                f"(joins {joins - self.joins})")
+        self.signals, self.joins = signals, joins
         self.max_levels = max(self.max_levels, self.runner.levels)
         if len(restarts) > self.restarts_seen:
             self.restarts_seen = len(restarts)
@@ -425,7 +436,17 @@ class _BoundTracker:
                 f"exceed budget {label_budget}")
 
     def final(self, report) -> None:
+        """Check the run's largest memory against its curve, and the
+        noted label maximum against every stored label: a label is
+        stored only when flushed, and a flush notes its size."""
         ledger = self.net.ledger
+        core = self.runner.core
+        stored = max((scheme_core.dynamic_label_bits(core.fn, lab)
+                      for lab in core.labels.values()), default=0)
+        if ledger.max_label_bits < stored:
+            report.bound_violations.append(
+                f"label bits {ledger.max_label_bits} fall below a stored "
+                f"label's {stored}")
         ever = self._epoch_ever()
         if self.runner.core.bookkeeping.kind == "designer":
             mem_budget = budgets.designer_memory_budget(ever, self.max_levels)

@@ -251,11 +251,11 @@ class SchemeCore:
 
     def _reset(self, level: int, root: int):
         """Count and relabel one decomposition subtree in one walk, the
-        count's, and return the scope map it walked (parents first, as
-        markers require).  The top level holds every child; below it the
-        port bookkeeping names them.  A restart is the top-level reset
-        over fresh memory (``install_on_tree``), so every reset is
-        counted here."""
+        count's, and return the scope map it walked (in depth-first
+        preorder, children in port order, as markers require).  The top
+        level holds every child; below it the port bookkeeping names
+        them.  A restart is the top-level reset over fresh memory
+        (``install_on_tree``), so every reset is counted here."""
         net, states = self.net, self.states
         if states[root].top_scope < level:
             raise SchemeError(f"reset target {root} is not a level-{level} scope root")

@@ -9,7 +9,9 @@ hop, and a relay (``charge_path``) or a convergecast
 (``broadcast_convergecast``) charges all of its hops in one ledger
 entry.  Every hop is checked by the hop rule (``_hop``) but a
 convergecast's return up an edge it has just crossed down.  A
-convergecast finds its subtree as it goes: each member names its children.
+convergecast finds its subtree as it goes: each member names its children,
+and the broadcast visits members in depth-first preorder, each member's
+children in the order it named them.
 
 A port number belongs to one end of a tree edge.  Stored ports are
 keyed by the edge's child end c: ``up_port[c]`` is the port at c toward
@@ -327,13 +329,16 @@ class Network:
         sum of ``aggregate(node)`` over its members and the map walked.
 
         ``children(v)`` names v's children inside the subtree, asked once
-        per member as the broadcast reaches it; the map holds each member
-        reached with the children it named, parents first.  Each named
-        edge is crossed down and back up; the down crossing is checked as
-        ``send`` checks it, and the up crossing, retracing an edge just
-        found alive and adjacent, cannot fail.  The 2*(m-1) crossings for
-        the m members reached are charged as one ledger entry when the
-        walk ends, also when it raises (none for no crossings).
+        per member as the broadcast reaches it.  The broadcast visits
+        members in depth-first preorder, each member's children in the
+        order it named them (port order, for every caller), and the map
+        lists each member reached, in that order, with the children it
+        named.  Each named edge is crossed down and back up; the down
+        crossing is checked as ``send`` checks it, and the up crossing,
+        retracing an edge just found alive and adjacent, cannot fail.
+        The 2*(m-1) crossings for the m members reached are charged as
+        one ledger entry when the walk ends, also when it raises (none
+        for no crossings).
         """
         if not self.is_alive(subtree_root):
             raise SimulationError(f"subtree root {subtree_root} not alive")
@@ -350,7 +355,7 @@ class Network:
                     hop(v, c)                  # down, then back up
                     crossings += 2
                     total += aggregate(c)
-                    stack.append(c)
+                stack.extend(reversed(kids))
         finally:
             if crossings:
                 self.ledger.count(category, crossings)

@@ -2,10 +2,10 @@
 
 A marker labels every member of a connected subtree in one invocation.
 It takes the subtree as a scope map: each member mapped to its children
-inside the subtree in port order, listed parents first (the root first,
-every other member after its parent), as ``SchemeCore._reset``'s count
-convergecast walks it and ``install_fresh`` builds it.  A marker only
-labels: it writes nothing to the network or its ledger.
+inside the subtree in port order, listed in depth-first preorder,
+children in port order, as ``SchemeCore._reset``'s count convergecast
+walks it and ``install_fresh`` builds it.  A marker only labels: it
+writes nothing to the network or its ledger.
 ``SchemeCore._reset`` charges each invocation as a traversal that
 crosses each subtree edge once in each direction (2*(m-1) ``marker``
 messages for m members).  Decoders are pure functions of two labels
@@ -17,19 +17,21 @@ marker sets once when it builds the label: through ``bits.sized``, or,
 in the separator marker, as a running size that gains each field's bits
 by the codec's rule as the field is filled.
 
-Each marker walks its scope once per job: the interval and routing
-markers share one preorder (``_preorder``) and the subtree sizes read
-off it (``_sizes``).  The separator marker pays one pass per component
-of its decomposition: the root's component is read off the scope map
-itself, and every other part is walked once, out of the centroid that
-split it off.  A walk reads a member's neighbours off the scope map (its
-children) and the network's parent pointers, and builds no neighbour
-lists.  It appends each member's (separator, distance) entry and adds
-the entry's bits to the member's running size, and gives the part the
-order and walk parents from which its own centroid is found.  Entries
-are immutable and shared: a separator makes one (separator, distance)
-entry per distance, held by every member at that distance, and only its
-own (separator, 0) is held by one label alone.
+The interval marker numbers members in the map's own order, and the
+routing marker walks the scope once, heavy child first; both read the
+subtree sizes off the map, children before parents (``_sizes``).  The
+separator marker needs the map only parents first.  It pays one pass
+per component of its decomposition: the root's component is read off
+the scope map itself, and every other part is walked once, out of the
+centroid that split it off.  A walk reads a member's neighbours off
+the scope map (its children) and the network's parent pointers, and
+builds no neighbour lists.  It appends each member's (separator,
+distance) entry and adds the entry's bits to the member's running size,
+and gives the part the order and walk parents from which its own
+centroid is found.  Entries are immutable and shared: a separator makes
+one (separator, distance) entry per distance, held by every member at
+that distance, and only its own (separator, 0) is held by one label
+alone.
 
 Schemes provided:
 
@@ -78,27 +80,15 @@ INTERVAL = (bits.UINT, bits.UINT)       # a, d: the interval [a, a + d]
 
 
 def dfs_interval_marker(net, root, scope):
-    order = _preorder(root, scope)
-    size = _sizes(order, scope)
+    size = _sizes(scope)
     return {v: bits.sized(INTERVAL, (i, size[v] - 1))
-            for i, v in enumerate(order, 1)}
+            for i, v in enumerate(scope, 1)}
 
 
-def _preorder(root, scope):
-    """Scope members in depth-first preorder, children in port order."""
-    order = []
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        stack.extend(reversed(scope[v]))
-    return order
-
-
-def _sizes(order, scope):
-    """Subtree sizes inside the scope, from any preorder of it."""
+def _sizes(scope):
+    """Subtree sizes inside the scope, read children before parents."""
     size = {}
-    for v in reversed(order):
+    for v in reversed(scope):
         size[v] = 1 + sum(size[c] for c in scope[v])
     return size
 
@@ -261,7 +251,7 @@ ROUTING = (bits.UINT, bits.UINT, bits.SINT, bits.SINT, bits.PAIRS)
 
 
 def routing_marker(net, root, scope):
-    size = _sizes(_preorder(root, scope), scope)
+    size = _sizes(scope)
     down = net.down_port
     heavy = {v: max(kids, key=lambda c: (size[c], -down[c]))
              if kids else None for v, kids in scope.items()}

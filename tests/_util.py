@@ -8,7 +8,7 @@ from dynlabel.harness import (AUTO_EXHAUSTIVE_LIMIT, EXHAUSTIVE_HARD_CAP,
                               ExhaustiveCapError, Mismatch)
 from dynlabel.memory import BackupStore, counter_list_bits, take_snapshot
 from dynlabel.simnet import SimulationError
-from dynlabel.static_schemes import SEPARATOR
+from dynlabel.static_schemes import INTERVAL, SEPARATOR
 
 
 def rooted_trees(n):
@@ -82,11 +82,38 @@ def grow_random(scheme, net, rng, adds):
 
 def scope_of(net, root, members):
     """Scope map of a member set, as resets hand it to markers and
-    convergecasts: each member, root first, mapped to its children inside
-    the set in port order."""
+    convergecasts: each member that root reaches inside the set, mapped
+    to its children inside the set in port order, listed in depth-first
+    preorder, children in port order."""
     members = set(members)
-    order = [root] + sorted(members - {root})
-    return {v: [c for c in net.children[v] if c in members] for v in order}
+    return preorder_scope(root, lambda v: [c for c in net.children[v]
+                                           if c in members])
+
+
+def preorder_scope(root, children):
+    """The map of ``children(v)`` over every member reached from root,
+    listed as a stack walk pops them in depth-first preorder, each
+    member's children in the order named."""
+    scope = {}
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        scope[v] = children(v)
+        stack.extend(reversed(scope[v]))
+    return scope
+
+
+def ref_preorder_numbering(root, scope):
+    """Ancestry labels of a scope by a depth-first preorder of its own,
+    children in port order, whatever order the map lists: member i of
+    that preorder (from 1) and its subtree size - 1, sized by their
+    codec."""
+    order = list(preorder_scope(root, scope.__getitem__))
+    size = {}
+    for v in reversed(order):
+        size[v] = 1 + sum(size[c] for c in scope[v])
+    return {v: bits.sized(INTERVAL, (i, size[v] - 1))
+            for i, v in enumerate(order, 1)}
 
 
 def walk_anchors(core, w):
@@ -468,7 +495,7 @@ def ref_broadcast_convergecast(net, subtree_root, children, aggregate,
             net.send(v, c, category)      # down
             net.send(c, v, category)      # up
             total += aggregate(c)
-            stack.append(c)
+        stack.extend(reversed(walked[v]))
     return total, walked
 
 

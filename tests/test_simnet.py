@@ -7,8 +7,8 @@ from dynlabel import (DynamicScheme, Network, PortAssignment, QuotaFunction,
                       ScenarioEvent, format_scenario, parse_scenario)
 from dynlabel.simnet import DeadNeighborError, InvalidEvent, SimulationError
 
-from _util import (build_net, ports_at, ref_broadcast_convergecast,
-                   ref_charge_path, scope_of)
+from _util import (build_net, ports_at, preorder_scope,
+                   ref_broadcast_convergecast, ref_charge_path, scope_of)
 
 
 class FixedPorts:
@@ -141,7 +141,8 @@ def test_broadcast_convergecast_singleton():
 def test_broadcast_convergecast_five_nodes():
     # the whole tree, then a map that leaves out node 1's child 4 and
     # node 0's child 2; the walked map lists members as the walk pops
-    # them, parents first
+    # them, in depth-first preorder with children in port order (a
+    # compact new child goes first)
     for members in ({0, 1, 2, 3, 4}, {0, 1, 3}):
         net = build_net([0, 0, 1, 1])
         scope = scope_of(net, 0, members)
@@ -149,9 +150,30 @@ def test_broadcast_convergecast_five_nodes():
                                                    lambda v: 1)
         assert count == len(members)
         assert walked == scope
-        assert list(walked) == ([0, 1, 3, 4, 2] if len(members) == 5
+        assert list(walked) == ([0, 2, 1, 4, 3] if len(members) == 5
                                 else [0, 1, 3])
         assert net.ledger.messages_total == 2 * (len(members) - 1)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(parents=st.lists(st.integers(0, 1 << 16), max_size=30),
+       assignment=st.sampled_from(list(PortAssignment)),
+       root=st.integers(0, 1 << 16), cut=st.sets(st.integers(1, 30)))
+def test_walked_map_is_a_port_order_preorder(parents, assignment, root, cut):
+    """The walked map is a stack preorder of the children lists the
+    members named, each member's children in the order named, key order
+    included, on any subtree and any kept-child predicate."""
+    parents = [p % (i + 1) for i, p in enumerate(parents)]
+    net = build_net(parents, assignment=assignment)
+    root %= net.alive_count
+
+    def kept(v):
+        return [c for c in net.children[v] if c not in cut]
+
+    count, walked = net.broadcast_convergecast(root, kept, lambda v: 1)
+    want = preorder_scope(root, kept)
+    assert list(walked.items()) == list(want.items())
+    assert count == len(want)
 
 
 def test_broadcast_convergecast_custom_aggregate():

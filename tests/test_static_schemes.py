@@ -1,16 +1,19 @@
+import dataclasses
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dynlabel import PortAssignment, bits, get_function, scheme_for
+from dynlabel import (PortAssignment, RunConfig, bits, get_function, run,
+                      scheme_for)
 from dynlabel.functions import ROUTE_SELF
 from dynlabel.static_schemes import (INTERVAL, SCHEMES, SEPARATOR,
                                      DecodeError, dfs_interval_decode,
                                      routing_decode, separator_distance_decode,
                                      separator_marker)
 
-from _util import build_net, random_parents, ref_separator_marker, scope_of
+from _util import (build_net, random_parents, ref_preorder_numbering,
+                   ref_separator_marker, scope_of)
 
 
 def _iv(a, b):
@@ -211,6 +214,36 @@ def test_marker_on_subtree_scope_only():
                 assert labels[root] == _iv(1, len(members))
 
 
+@pytest.mark.parametrize("model", ["increasing", "dynamic"])
+@pytest.mark.parametrize("port_model", ["designer", "adversary"])
+def test_interval_marker_numbers_every_run_scope_in_port_preorder(
+        monkeypatch, model, port_model):
+    """Every interval marker call of an ancestry run, the fresh install's
+    and each reset's, numbers its scope as a port-order preorder of its
+    own does, labels in the same key order: the walked map it is handed
+    is listed in that preorder."""
+    pi = SCHEMES["ancestry"]
+    sizes, bad = [], []
+
+    def marker(net, root, scope):
+        labels = pi.marker(net, root, scope)
+        sizes.append(len(scope))
+        if list(labels.items()) != list(
+                ref_preorder_numbering(root, scope).items()):
+            bad.append((root, len(scope)))
+        return labels
+
+    monkeypatch.setitem(SCHEMES, "ancestry",
+                        dataclasses.replace(pi, marker=marker))
+    r = run(RunConfig(seed=5, events=300, model=model,
+                      p_delete=0.3 if model == "dynamic" else 0.0,
+                      port_model=port_model, function="ancestry",
+                      verify="sampled:16"))
+    assert bad == []
+    assert r.passed()
+    assert sizes[0] == 1 and max(sizes) > 20
+
+
 def test_distance_decode_requires_shared_separator():
     with pytest.raises(DecodeError):
         separator_distance_decode(_sep(0, 0, ((0, 1),)),
@@ -268,16 +301,16 @@ def _shape(name, n, rng):
 def _collected_scope(net, root, keep, order):
     """A scope map, each member mapped to its kept children in port
     order, listed parents first in the given order: ``walk`` as resets
-    collect one (a depth-first walk from root), ``bfs`` breadth first,
-    ``ids`` root first and then by id, as ``scope_of`` lists one."""
+    walk one (depth-first preorder, children in port order), ``bfs``
+    breadth first, ``ids`` root first and then by id."""
     scope = {}
     queue = [root]
     while queue:
         v = queue.pop(0 if order == "bfs" else -1)
         scope[v] = [c for c in net.children[v] if keep(c)]
-        queue.extend(scope[v])
+        queue.extend(scope[v] if order == "bfs" else reversed(scope[v]))
     if order == "ids":
-        return scope_of(net, root, scope)
+        return {v: scope[v] for v in [root] + sorted(scope.keys() - {root})}
     return scope
 
 
