@@ -16,9 +16,10 @@ subtree.  Two strategies are provided:
   repaired from a backup copy.
 
 Backups keep, for every child u of a node v, one copy of u's scheme
-memory: at v when u is an only child, else at u's next sibling in cyclic
-port order.  v also keeps a former only child's copy once a second
-child joins, until that child's memory next changes (``BackupStore``).
+memory at ``copy_holder`` of u: v when u is an only child, else u's next
+sibling in cyclic port order.  A copy sits nowhere else, except that v
+keeps a former only child's copy, stale, once a second child joins,
+until that child's copy next moves (``BackupStore``).
 Copies are immutable and carry their exact size, taken once when the
 copy is built; equal copies are shared, not rebuilt, so a node's memory
 adds up the sizes its copies carry and sizes its own fields in one pass
@@ -401,50 +402,43 @@ def take_snapshot(state) -> Snapshot:
 
 
 class BackupStore:
-    """Copies of child scheme memories, each placed by ``_place``.
+    """Copies of child scheme memories, placed by one rule: a copy of a
+    child u sits at ``copy_holder`` of u, and nowhere else except, stale,
+    at u's parent.  ``check`` reports a copy anywhere else.
+
+    That stale copy is a former only child's: ``on_leaf_added`` leaves it
+    at the parent when a second child joins, until ``_move`` next moves
+    u's copy (a refresh, or a sibling's deletion).  It is current, but it
+    counts toward the parent's memory and ``read_copy`` reads it there
+    instead of paying two messages.
 
     Copies are never mutated, so one copy can sit at several holders: a
     placement reuses a copy of the subject already held, or the copy
     placed last, when its value equals the subject's memory, and builds
     and sizes a new copy only otherwise.  A holder's copies add up to
     the sizes they carry.
-
-    A parent keeps its former only child's copy after a second child
-    joins: the copy is current, but it counts toward the parent's memory
-    and ``read_copy`` reads it there instead of paying two messages.
     """
 
     def __init__(self, engine):
         self.engine = engine
         self.copies = {}        # holder -> {subject: snapshot}
-        self.holders = {}       # subject -> the nodes holding its copy
         self.last = None        # the copy placed last, of any subject
 
-    def _erase(self, holder, subject):
+    def _drop(self, holder, subject):
         held = self.copies.get(holder)
-        if held is not None:
+        if held:
             held.pop(subject, None)
-        holders = self.holders.get(subject)
-        if holders is not None:
-            holders.discard(holder)
 
-    def _erase_all(self, subject):
-        """Drop every copy of subject, wherever it is held."""
-        copies = self.copies
-        for holder in self.holders.pop(subject, ()):
-            held = copies.get(holder)
-            if held is not None:
-                held.pop(subject, None)
-
-    def _copy(self, subject) -> Snapshot:
-        """A copy of subject's current memory: a copy of subject already
-        held, or the copy placed last, if its value equals that memory;
-        else a new one."""
+    def _copy(self, subject, holders) -> Snapshot:
+        """A copy of subject's current memory: subject's copy at one of
+        ``holders``, or the copy placed last, if its value equals that
+        memory; else a new one."""
         st = self.engine.states[subject]
         memory = _memory_of(st)
-        for holder in self.holders.get(subject, ()):    # at most two
-            own = self.copies[holder][subject]
-            if _value_of(own) == memory:
+        copies = self.copies
+        for holder in holders:
+            own = copies.get(holder, {}).get(subject)
+            if own is not None and _value_of(own) == memory:
                 return own
         last = self.last
         if last is not None and _value_of(last) == memory:
@@ -455,73 +449,71 @@ class BackupStore:
         net = self.engine.net
         self.copies.setdefault(holder, {})[subject] = snap
         self.last = snap
-        holders = self.holders.get(subject)
-        if holders is None:
-            self.holders[subject] = {holder}
-        else:
-            holders.add(holder)
         # a hop to the parent, two when relayed on to a sibling
         net.ledger.count("backup", 1 if holder == net.parent[subject] else 2)
 
-    def _refresh(self, subject, holder):
-        """Place subject's copy at ``holder`` (see ``copy_holder``).  The
-        holder drops any copy of another child of subject's parent, and
-        every other copy of subject goes.  A holder keeps at most two
-        copies and a subject has at most two holders, so this costs O(1)
-        whatever the parent's degree."""
-        snap = self._copy(subject)
-        held = self.copies.get(holder)
-        if held:
-            parent_of = self.engine.net.parent
-            parent = parent_of[subject]
-            for s in tuple(held):
-                if s != subject and parent_of[s] == parent:
-                    self._erase(holder, s)
-        self._erase_all(subject)
-        self._place(holder, subject, snap)
+    def _move(self, subject, old, new):
+        """Drop subject's copies at ``old`` and at its parent, and place
+        one at ``new``."""
+        parent = self.engine.net.parent[subject]
+        snap = self._copy(subject, (old, parent))
+        self._drop(old, subject)
+        self._drop(parent, subject)
+        self._place(new, subject, snap)
 
     def refresh(self, subject):
         """Re-place the copy after subject's memory changed."""
         net = self.engine.net
         v = net.parent[subject]
         if v is not None:
-            self._refresh(subject, copy_holder(net, v, subject))
+            h = copy_holder(net, v, subject)
+            self._move(subject, h, h)
 
     def on_leaf_added(self, parent, child):
-        """Back up the new child, and its previous sibling at it."""
+        """Back up the new child at its holder, and its previous sibling
+        at it."""
         net = self.engine.net
+        h = copy_holder(net, parent, child)
+        self._place(h, child, self._copy(child, ()))
         order = net.children[parent]
-        self._refresh(child, copy_holder(net, parent, child))
         if len(order) > 1:
             prev = order[order.index(child) - 1]
-            self._place(child, prev, self._copy(prev))
+            if len(order) > 2:
+                self._drop(h, prev)     # prev's holder until now
+            # a copy of prev at the parent stays, stale
+            self._place(child, prev, self._copy(prev, (parent,)))
 
     def read_copy(self, parent, child) -> dict:
         """Fetch the copy of a child's memory: free at the parent, else
-        charged at its holder (see ``copy_holder``)."""
+        charged at its holder (see ``copy_holder``).  A copy whose
+        per-level lists do not fit the running levels is a fault."""
         net = self.engine.net
-        held = self.copies.get(parent, {})
-        if child in held:
-            return held[child]
-        held = self.copies.get(copy_holder(net, parent, child), {})
-        if child in held:
+        snap = self.copies.get(parent, {}).get(child)
+        if snap is None:
+            held = self.copies.get(copy_holder(net, parent, child), {})
+            if child not in held:
+                raise MemoryError_(f"no backup copy of node {child}")
             net.ledger.count("backup", 2)
-            return held[child]
-        raise MemoryError_(f"no backup copy of node {child}")
+            snap = held[child]
+        levels = self.engine.levels
+        if any(len(snap[f]) != levels + 1 for f in SNAPSHOT_FIELDS):
+            raise MemoryError_(f"the backup copy of node {child} does not "
+                               f"fit {levels} levels")
+        return snap
 
     def on_child_removed(self, parent, child):
-        """Back up the removed child's previous sibling among the rest:
-        at the parent if it is left alone, else at the sibling that
-        followed the removed child."""
-        order = self.engine.net.children[parent]
+        """Drop the removed child's copies, and back up its previous
+        sibling among the rest: at the parent if it is left alone, else
+        at the child's holder, the sibling that followed it."""
+        net = self.engine.net
+        order = net.children[parent]
+        h = copy_holder(net, parent, child)
+        self._drop(parent, child)
+        self._drop(h, child)
         if len(order) > 1:
-            i = order.index(child)
-            holder = (parent if len(order) == 2
-                      else order[(i + 1) % len(order)])
-            self._refresh(order[i - 1], holder)
-        self._erase_all(child)
-        for s in self.copies.pop(child, ()):
-            self.holders[s].discard(child)
+            prev = order[order.index(child) - 1]
+            self._move(prev, child, parent if len(order) == 2 else h)
+        self.copies.pop(child, None)
 
     def held_bits(self, holder) -> int:
         held = self.copies.get(holder)
@@ -529,28 +521,40 @@ class BackupStore:
 
     def check(self) -> list[str]:
         """Every child's copy must sit at its parent or at its next
-        sibling in cyclic port order.  Leaves are skipped all at once,
-        and each sibling list is read in one pass with no copies of
-        it."""
+        sibling in cyclic port order, and no copy anywhere else.  Leaves
+        are skipped all at once, and each sibling list is read in one
+        pass with no copies of it; held copies are looked at one by one
+        only when they outnumber the copies that pass found in place."""
         out = []
         net = self.engine.net
         children = net.children
         copies = self.copies
         none = {}
+        placed = 0
         nodes = net.alive_list
         for v in compress(nodes, map(children.__getitem__, nodes)):
             order = children[v]
             here = copies.get(v, none)
             u = order[-1]           # each child u before its next one
             for nxt in order:
-                if u not in here and u not in copies.get(nxt, none):
+                n = (u in here) + (u in copies.get(nxt, none))
+                if not n:
                     out.append(f"no copy of child {u} at {v} or {nxt}")
+                placed += n
                 u = nxt
-        if (not all(map(net.is_alive, copies))
-                or max(map(len, copies.values()), default=0) > 2):
+            if len(order) == 1 and u in copies.get(u, none):
+                placed -= 1         # an only child's copy at itself
+        sizes = list(map(len, copies.values()))
+        if sum(sizes) > placed or max(sizes, default=0) > 2:
+            parent, alive = net.parent, net.is_alive
             for holder, held in copies.items():
-                if held and not net.is_alive(holder):
+                if held and not alive(holder):
                     out.append(f"dead node {holder} holds copies")
                 if len(held) > 2:
                     out.append(f"node {holder} holds {len(held)} copies")
+                for s in held:
+                    p = parent[s] if alive(s) else None
+                    if p is None or holder not in (
+                            p, copy_holder(net, p, s)):
+                        out.append(f"node {holder} holds a copy of {s}")
         return out

@@ -6,7 +6,8 @@ from dynlabel import Network, PortAssignment, bits, scheme_core
 from dynlabel.functions import outward
 from dynlabel.harness import (AUTO_EXHAUSTIVE_LIMIT, EXHAUSTIVE_HARD_CAP,
                               ExhaustiveCapError, Mismatch)
-from dynlabel.memory import BackupStore, counter_list_bits, take_snapshot
+from dynlabel.memory import (BackupStore, copy_holder, counter_list_bits,
+                             take_snapshot)
 from dynlabel.simnet import SimulationError
 from dynlabel.static_schemes import INTERVAL, SEPARATOR
 
@@ -293,7 +294,8 @@ def ref_port_faults(net):
 
 
 def ref_backup_faults(store):
-    """Backup placement faults, child by child and holder by holder."""
+    """Backup placement faults, child by child and holder by holder: a
+    copy of u may sit only at u's parent or at ``copy_holder`` of u."""
     net, copies = store.engine.net, store.copies
     out = []
     for v in net.alive_list:
@@ -306,6 +308,10 @@ def ref_backup_faults(store):
             out.append(f"dead node {holder} holds copies")
         if len(held) > 2:
             out.append(f"node {holder} holds {len(held)} copies")
+        for s in held:
+            p = net.parent[s] if net.is_alive(s) else None
+            if p is None or holder not in (p, copy_holder(net, p, s)):
+                out.append(f"node {holder} holds a copy of {s}")
     return out
 
 
@@ -360,9 +366,9 @@ def ref_verify_step(runner, fn, mode, sample_size, rng, event_index, seed,
 
 
 class RefBackupStore(BackupStore):
-    """``BackupStore`` placing copies as it did before it kept an index
-    of each subject's holders and shared equal copies: a refresh erases
-    the subject's copy at its parent and at every sibling, O(degree) per
+    """``BackupStore`` placing copies as it did before it placed them
+    by the holder rule and shared equal copies: a refresh erases the
+    subject's copy at its parent and at every sibling, O(degree) per
     refresh, and every placement builds a new copy."""
 
     def _erase(self, holder, subject):

@@ -11,7 +11,9 @@ from dynlabel import (DynamicScheme, FiniteScheme, IncreasingScheme, Network,
 from dynlabel.functions import FUNCTIONS
 from dynlabel.harness import (RunConfig, build_network, build_runner,
                               generate_scenario, write_memory_report)
-from dynlabel.memory import AdversaryBookkeeping, MemoryError_, copy_holder
+from dynlabel.memory import (AdversaryBookkeeping, MemoryError_, copy_holder,
+                             take_snapshot)
+from dynlabel.scheme_core import NodeState
 
 from _util import (RefBackupStore, grow_random, int_bits, ports_at,
                    ref_memory_bits, ref_snapshot_bits)
@@ -305,11 +307,13 @@ BACKUP_STREAMS = st.lists(st.tuples(st.sampled_from("AAARR"),
        seed=st.integers(0, 1000), events=BACKUP_STREAMS)
 def test_backup_copies_match_the_erase_everywhere_reference(assignment, seed,
                                                             events):
-    """Erasing a subject's copies only at its indexed holders, and
-    sharing equal copies, leaves every holder's copies and every message
-    what erasing at the parent and every sibling and building each copy
-    anew left, after every event; and a copy keeps its value and its
-    size while any node holds it."""
+    """Placing copies by the holder rule, dropping a subject's copies
+    only at its old holder and its parent, and sharing equal copies,
+    leaves every holder's copies and every message what erasing at the
+    parent and every sibling and building each copy anew left, after
+    every event; every copy of u sits at u's parent or at its
+    ``copy_holder``; and a copy keeps its value and its size while any
+    node holds it."""
     runs = []
     for store in (None, RefBackupStore):
         net = Network(assignment=assignment, rng=random.Random(seed))
@@ -340,13 +344,11 @@ def test_backup_copies_match_the_erase_everywhere_reference(assignment, seed,
                                       snap.bits)
                 _, value, bits = seen[id(snap)]
                 assert snap == value and snap.bits == bits
-        held_by = {}
         for h, held in copies.items():
             for u in held:
-                held_by.setdefault(u, set()).add(h)
-        holders = s.core.backups.holders
-        assert {u: hs for u, hs in holders.items() if hs} == held_by
-        assert all(len(hs) <= 2 for hs in holders.values())
+                p = net.parent[u]
+                assert net.is_alive(u) and p is not None
+                assert h in (p, copy_holder(net, p, u))
     assert s.core.backups.check() == []
 
 
@@ -369,6 +371,53 @@ def test_refreshing_an_unchanged_memory_keeps_its_copy(assignment):
         h = copy_holder(net, net.parent[u], u)
         assert id(store.copies[h][u]) in kept
     assert store.check() == []
+
+
+@pytest.mark.parametrize("assignment", [PortAssignment.COMPACT,
+                                        PortAssignment.ADVERSARY])
+def test_a_former_only_childs_copy_stays_at_its_parent_until_moved(
+        assignment):
+    """When a second child joins p, p keeps its former only child u's
+    copy beside the one at u's new holder: the join places u's copy only
+    at the new child.  The copy at p goes at u's next move (a refresh, or
+    a deletion's), and only then, while u has siblings."""
+    rng = random.Random(23)
+    net = Network(assignment=assignment, rng=random.Random(24))
+    s = DynamicScheme(net, "distance", QuotaFunction.parse("pow:0.5"))
+    store = s.core.backups
+    moved = set()
+
+    def move(subject, old, new, _move=store._move):
+        moved.add(subject)
+        _move(subject, old, new)
+
+    def stale():
+        parent, children, copies = net.parent, net.children, store.copies
+        return {(parent[u], u) for u in net.alive_list if u != net.root
+                and len(children[parent[u]]) > 1
+                and u in copies.get(parent[u], {})}
+
+    store._move = move
+    before, survived, went = set(), 0, 0
+    for _ in range(800):
+        moved.clear()
+        leaves = [v for v in net.alive_list if v != 0 and net.is_leaf(v)]
+        if leaves and rng.random() < 0.3:
+            joined = set()
+            s.remove_leaf(leaves[rng.randrange(len(leaves))])
+        else:
+            p = net.alive_list[rng.randrange(net.alive_count)]
+            only = list(net.children[p])
+            joined = {(p, only[0])} if len(only) == 1 else set()
+            s.add_leaf(p)
+        after = stale()
+        held = {(p, u) for p, u in before | joined
+                if net.is_alive(u) and len(net.children[p]) > 1}
+        assert after == {(p, u) for p, u in held if u not in moved}
+        survived += len(joined & after)
+        went += len(held - after)
+        before = after
+    assert survived and went
 
 
 def _stream(function, model, port_model, seed=5):
@@ -411,6 +460,26 @@ def test_missing_backup_copy_is_an_error():
     leaf = next(v for v in net.alive_nodes() if v != 0 and net.is_leaf(v))
     s.core.backups.copies.clear()
     with pytest.raises(MemoryError_):
+        s.remove_leaf(leaf)
+
+
+@pytest.mark.parametrize("at_parent", [True, False])
+def test_a_copy_from_an_older_phase_is_an_error(at_parent):
+    """A copy whose per-level lists fit a phase with one level fewer,
+    planted where a deletion reads it, free at the parent or charged at
+    the leaf's holder, is a memory fault, not an index error."""
+    net = Network()
+    s = DynamicScheme(net, "distance", QuotaFunction.parse("const:4"))
+    s.add_leaf(0)
+    leaf = s.add_leaf(0)
+    copies = s.core.backups.copies
+    old = take_snapshot(NodeState(s.core.levels - 1))
+    for held in copies.values():
+        held.pop(leaf, None)
+    holder = 0 if at_parent else copy_holder(net, 0, leaf)
+    copies.setdefault(holder, {})[leaf] = old
+    with pytest.raises(MemoryError_, match=f"the backup copy of node {leaf} "
+                       f"does not fit {s.core.levels} levels"):
         s.remove_leaf(leaf)
 
 

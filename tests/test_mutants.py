@@ -20,8 +20,8 @@ import pytest
 
 from dynlabel import RunConfig, generate_scenario, run
 from dynlabel.dynamic import DynamicScheme
-from dynlabel.memory import (AdversaryBookkeeping, DesignerBookkeeping,
-                             MemoryError_)
+from dynlabel.memory import (AdversaryBookkeeping, BackupStore,
+                             DesignerBookkeeping, MemoryError_)
 from dynlabel.scheme_core import SchemeCore
 from dynlabel.simnet import MetricsLedger
 
@@ -138,6 +138,23 @@ def test_a_scope_fault_mid_walk_charges_the_crossings_made(monkeypatch):
                         "level 1 does not fit its 3 filled slots"]
     [(root, got, want)] = charged
     assert root == 21 and got == want > 0
+
+
+@pytest.mark.parametrize("port_model", ["designer", "adversary"])
+def test_copies_never_dropped_are_reported_and_fail_their_read(monkeypatch,
+                                                               port_model):
+    """``BackupStore._drop`` does nothing, so every moved copy also stays
+    where it was.  The every-event scan names the first one left at a
+    node that is no holder of it, and the deletion that reads a copy left
+    from an older phase records a memory fault, not an index error."""
+    config = RunConfig(seed=3, events=300, model="dynamic", p_delete=0.3,
+                       port_model=port_model, invariants="every-event",
+                       verify="off")
+    r = _killed(monkeypatch, config, BackupStore, "_drop",
+                lambda store, holder, subject: None)
+    assert "event 4: node 2 holds a copy of 1" in r.invariant_violations
+    assert r.errors == ["event 6: MemoryError_: the backup copy of node 1 "
+                        "does not fit 5 levels"]
 
 
 def test_bloated_restart_marker_is_reported_at_its_event(monkeypatch):

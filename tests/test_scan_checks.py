@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from dynlabel import (DynamicScheme, FiniteScheme, IncreasingScheme, Network,
                       PortAssignment, QuotaFunction)
+from dynlabel.memory import copy_holder
 
 from _corpus import SCHEME_FIELDS, _corrupt, corpus
 from _util import (child_ports, ref_adversary_faults, ref_backup_faults,
@@ -201,6 +202,32 @@ def test_dead_holder_fires():
     dead = next(v for v in range(net.next_id) if not net.is_alive(v))
     core.backups.copies[dead] = {net.root: {}}
     _fires(core, f"dead node {dead} holds copies")
+
+
+@pytest.mark.parametrize("port_model", ["designer", "adversary"])
+@pytest.mark.parametrize("subject", ["child", "only child", "root", "dead"])
+def test_misplaced_copy_fires(port_model, subject):
+    """One more copy, of a child at a node that is neither its parent nor
+    its ``copy_holder`` (an only child's at the child itself), or of the
+    root or a deleted node anywhere: the scan names that copy, and
+    nothing else."""
+    net, core = _grown(port_model)
+    copies = core.backups.copies
+    nodes = net.alive_list
+    if subject == "child":
+        u = next(v for v in nodes if v != net.root)
+        p = net.parent[u]
+        h = next(v for v in nodes if v not in (u, p, copy_holder(net, p, u))
+                 and len(copies.get(v, {})) < 2)
+    elif subject == "only child":
+        h = u = next(v for v in nodes if v != net.root
+                     and net.children[net.parent[v]] == [v])
+    else:
+        u = (net.root if subject == "root" else
+             next(v for v in range(net.next_id) if not net.is_alive(v)))
+        h = next(v for v in nodes if len(copies.get(v, {})) < 2)
+    copies.setdefault(h, {})[u] = {}
+    assert core.scan_invariants() == [f"node {h} holds a copy of {u}"]
 
 
 @pytest.mark.parametrize("port_model", ["designer", "adversary"])
